@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import IO
 
 from .corpus import Corpus, EntityCatalog, IngestReport, load_corpus, load_entity_catalog
-from .index import Granularity, build_index
+from .index import Granularity, build_index, period_of
 from .oracle import oracle_rank
 from .query import Query, QueryError, parse_query
 from .ranking import RankedResult, rank
@@ -112,7 +113,7 @@ def _load_query_file(path: str) -> dict[str, object]:
         raw = handle.read()
     try:
         record = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise QueryError(f"query file is not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise QueryError("query file must hold a single JSON object")
@@ -177,14 +178,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if report.accepted == 0:
         print("error: no documents ingested", file=sys.stderr)
         return EXIT_DOMAIN
-    index = build_index(corpus, granularity)
+    counts = Counter(period_of(doc.published_at, granularity) for doc in corpus.documents)
     first = min(doc.published_at for doc in corpus.documents)
     last = max(doc.published_at for doc in corpus.documents)
     print(f"documents: {len(corpus)}")
     print(f"entities: {len(corpus.entity_universe)}")
     print(f"span: {first.isoformat()}..{last.isoformat()}")
-    for pid in sorted(index.docs_by_period):
-        print(f"{pid.key}\t{len(index.docs_by_period[pid])}")
+    for pid in sorted(counts):
+        print(f"{pid.key}\t{counts[pid]}")
     return EXIT_OK
 
 

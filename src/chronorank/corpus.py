@@ -31,6 +31,10 @@ SKIP_DATELESS = "dateless"
 
 # Day precision only; anything after the date is a time-of-day suffix we drop.
 _DATE_RE = re.compile(r"^(\d{4}-\d{2}-\d{2})([T ].*)?$")
+# re's \s matches exactly the characters str.isspace accepts.
+_BAD_ENTITY_CHAR_RE = re.compile(r"[\s\x00-\x1f\x7f]")
+# json.loads raises ValueError on bad JSON or too long an integer, RecursionError on deep nesting.
+_UNPARSEABLE = (ValueError, RecursionError)
 
 LineSource = Union[IO[bytes], IO[str], Iterable[Union[str, bytes]]]
 
@@ -40,7 +44,7 @@ def is_valid_entity_id(value: object) -> bool:
     whitespace or control characters."""
     if not isinstance(value, str) or not value:
         return False
-    return not any(ch.isspace() or ord(ch) < 32 or ord(ch) == 127 for ch in value)
+    return _BAD_ENTITY_CHAR_RE.search(value) is None
 
 
 def _parse_day(raw: object) -> date | None:
@@ -127,15 +131,15 @@ class IngestReport:
 
 
 def _iter_decoded_lines(source: LineSource) -> Iterable[str | None]:
-    """Yield text lines, or None for a line that is not valid UTF-8."""
-    for line in source:
+    """Yield text lines, minus a BOM opening the first, or None for a line that is not UTF-8."""
+    for number, line in enumerate(source):
         if isinstance(line, bytes):
             try:
-                yield line.decode("utf-8")
+                line = line.decode("utf-8")
             except UnicodeDecodeError:
                 yield None
-        else:
-            yield line
+                continue
+        yield line.removeprefix("\ufeff") if number == 0 else line
 
 
 def _mentions_from_record(raw: object) -> dict[EntityId, int] | None:
@@ -166,7 +170,7 @@ def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tu
     """Parse line-delimited document records into a Corpus.
 
     Blank lines are ignored. A line is skipped and tallied rather than raised:
-    "malformed" for broken JSON or a bad id/mentions field, "dateless" for a
+    "malformed" for unparseable JSON or a bad id/mentions field, "dateless" for a
     missing or unparseable date, "duplicate" for a repeated document id (the
     first record wins). Time-of-day suffixes on dates are truncated.
 
@@ -184,7 +188,7 @@ def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tu
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+        except _UNPARSEABLE:
             report.note_skip(SKIP_MALFORMED)
             continue
         if not isinstance(record, dict):
@@ -229,7 +233,7 @@ def parse_entity_catalog(source: LineSource) -> tuple[EntityCatalog, IngestRepor
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+        except _UNPARSEABLE:
             report.note_skip(SKIP_MALFORMED)
             continue
         if not isinstance(record, dict):

@@ -1,4 +1,4 @@
-"""Calendar bucketing and period-partitioned inverted indexes.
+"""Calendar bucketing and the entity inverted index.
 
 Documents are bucketed into day, ISO week, month, or year periods. Each
 period has a canonical key string whose lexicographic order matches
@@ -132,39 +132,29 @@ def periods_in_range(start: date, end: date, granularity: Granularity) -> list[P
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Read-only lookup structures for one corpus at one granularity.
+    """Read-only lookup structures for one corpus.
 
     Postings are tuples of document ids in sorted order, which keeps every
-    downstream iteration deterministic. docs_by_entity_period holds only the
-    (entity, period) cells that are non-empty.
+    downstream iteration deterministic. No period is stored: queries bucket
+    the documents they read. granularity is the one queries must ask for.
     """
 
     granularity: Granularity
-    docs_by_period: dict[PeriodId, tuple[str, ...]]
     docs_by_entity: dict[EntityId, tuple[str, ...]]
-    docs_by_entity_period: dict[tuple[EntityId, PeriodId], tuple[str, ...]]
     doc_table: dict[str, Document]
 
 
 def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:
-    """Build the period-partitioned indexes for a corpus.
+    """Build the entity postings and the document table for a corpus.
 
-    Every document lands in exactly one period bucket. Documents with no
-    mentions appear in docs_by_period but in no entity posting.
+    Documents with no mentions appear in doc_table but in no entity posting.
     """
-    by_period: dict[PeriodId, list[str]] = defaultdict(list)
     by_entity: dict[EntityId, list[str]] = defaultdict(list)
-    by_entity_period: dict[tuple[EntityId, PeriodId], list[str]] = defaultdict(list)
     for doc in corpus.documents:
-        pid = period_of(doc.published_at, granularity)
-        by_period[pid].append(doc.id)
         for entity in doc.mentions:
             by_entity[entity].append(doc.id)
-            by_entity_period[(entity, pid)].append(doc.id)
     return CorpusIndex(
         granularity=granularity,
-        docs_by_period={pid: tuple(sorted(ids)) for pid, ids in by_period.items()},
         docs_by_entity={e: tuple(sorted(ids)) for e, ids in by_entity.items()},
-        docs_by_entity_period={k: tuple(sorted(ids)) for k, ids in by_entity_period.items()},
         doc_table={doc.id: doc for doc in corpus.documents},
     )

@@ -22,6 +22,7 @@ final ordering break by ascending document id.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document, EntityId
@@ -97,8 +98,10 @@ def relatedness(ctx: QueryContext, entity: EntityId) -> float:
 
     Sums, period by period in ascending order, the fraction of matched
     documents in that period that also mention the entity, then scales by
-    idf. Memoized on the context for the lifetime of the query. Only defined
-    for entities outside the query set.
+    idf. Periods with no such document add 0.0 and are skipped; a single
+    overall ratio would round differently and can reorder exact ties.
+    Memoized on the context for the lifetime of the query. Only defined for
+    entities outside the query set.
     """
     if entity in ctx.query.entities:
         raise ValueError(f"entity {entity!r} is a query entity; relatedness applies to the others")
@@ -106,13 +109,12 @@ def relatedness(ctx: QueryContext, entity: EntityId) -> float:
     if entity in memo:
         return memo[entity]
     matched = ctx.matched
+    hits = matched.intersection(ctx.index.docs_by_entity.get(entity, ()))
+    counts = Counter(period_of(ctx.index.doc_table[doc_id].published_at, ctx.query.granularity) for doc_id in hits)
     total = len(matched)
     cooccurrence = 0.0
-    for pid in ctx.periods:
-        posting = ctx.index.docs_by_entity_period.get((entity, pid))
-        if posting:
-            count = sum(1 for doc_id in posting if doc_id in matched)
-            cooccurrence += count / total
+    for pid in sorted(counts):
+        cooccurrence += counts[pid] / total
     score = idf(ctx, entity) * cooccurrence
     memo[entity] = score
     return score

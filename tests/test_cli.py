@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chronorank
 from helpers import golden
 
 RANK_FLAGS = [
@@ -227,6 +229,15 @@ def test_rank_bad_query_file_exits_one(run_cli, fixture_corpus_path, tmp_path, c
     assert "error" in err
 
 
+def test_rank_deeply_nested_query_file_exits_one(run_cli, fixture_corpus_path, tmp_path):
+    qfile = tmp_path / "query.json"
+    qfile.write_text("[" * 200000)
+    code, out, err = run_cli("rank", str(fixture_corpus_path), "--query-file", str(qfile))
+    assert code == 1
+    assert out == ""
+    assert "not valid JSON" in err
+
+
 def test_rank_missing_query_file_exits_two(run_cli, fixture_corpus_path, tmp_path):
     code, _, _ = run_cli("rank", str(fixture_corpus_path), "--query-file", str(tmp_path / "gone.json"))
     assert code == 2
@@ -273,9 +284,12 @@ def test_stats_missing_file_exits_two(run_cli, tmp_path):
 
 def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):
     """Byte-identical stdout across processes with different hash seeds."""
+    # the child imports the same chronorank as this process, with or without PYTHONPATH
+    package_root = str(Path(chronorank.__file__).parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=search_path)
         proc = subprocess.run(
             [sys.executable, "-m", "chronorank.cli", *fixture_args(fixture_corpus_path, "--semantics", "any", "--explain")[0:]],
             capture_output=True, env=env, check=True,

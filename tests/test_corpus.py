@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chronorank import Corpus, parse_corpus, parse_entity_catalog
+from chronorank import Corpus, load_corpus, parse_corpus, parse_entity_catalog
 from chronorank.corpus import SKIP_DATELESS, SKIP_DUPLICATE, SKIP_MALFORMED, is_valid_entity_id
 
 from helpers import make_doc
@@ -116,6 +119,104 @@ def test_malformed_lines(line):
     assert report.reasons[SKIP_MALFORMED] == 1
 
 
+DEEP_NESTING = "[" * 200000
+LONG_INTEGER = json.dumps({"id": "a1", "date": "1990-02-11", "mentions": [{"entity": "ent:x", "count": 1}]}).replace(
+    '"count": 1', '"count": ' + "9" * 5000
+)
+
+
+@pytest.mark.parametrize(
+    "parse,line",
+    [
+        (parse_corpus, DEEP_NESTING),
+        (parse_entity_catalog, DEEP_NESTING),
+        (parse_corpus, LONG_INTEGER),
+    ],
+    ids=["corpus-deep-nesting", "catalog-deep-nesting", "corpus-long-integer"],
+)
+def test_unparseable_json_is_malformed_not_raised(parse, line):
+    good = GOOD_1 if parse is parse_corpus else json.dumps({"entity": "ent:a", "categories": ["cat:1"]})
+    _, report = parse([line, good])
+    assert report.accepted == 1
+    assert report.skipped == 1
+    assert report.reasons[SKIP_MALFORMED] == 1
+
+
+def test_leading_byte_order_mark_is_stripped(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_1 + "\n" + GOOD_2 + "\n", encoding="utf-8-sig")
+    corpus, report = load_corpus(path)
+    assert report.accepted == 2
+    assert report.skipped == 0
+    assert [d.id for d in corpus.documents] == ["a1", "a2"]
+    catalog, cat_report = parse_entity_catalog(["\ufeff" + json.dumps({"entity": "ent:a"})])
+    assert cat_report.accepted == 1
+    assert "ent:a" in catalog.entries
+
+
+def test_byte_order_mark_after_the_first_line_is_malformed():
+    _, report = parse_corpus([GOOD_1, "\ufeff" + GOOD_2])
+    assert report.accepted == 1
+    assert report.reasons[SKIP_MALFORMED] == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+mentions = st.lists(
+    st.fixed_dictionaries({"entity": st.text(max_size=6) | json_values, "count": st.integers(-1, 4) | json_values}),
+    max_size=3,
+)
+near_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.sampled_from(["a1", "a2", ""]) | json_values,
+        "date": st.sampled_from(["1990-02-11", "1990-02-30", "1990-02-11T09:00"]) | st.text(max_size=12),
+        "mentions": mentions | json_values,
+        "entity": st.sampled_from(["ent:a", "ent b", ""]) | json_values,
+        "categories": st.lists(st.text(max_size=4), max_size=3) | json_values,
+    },
+)
+fuzz_lines = st.lists(
+    st.one_of(
+        st.text(),
+        st.binary(),
+        json_values.map(json.dumps),
+        near_records.map(json.dumps),
+        near_records.map(lambda r: json.dumps(r).encode("utf-8")),
+    ),
+    max_size=8,
+)
+
+
+def non_blank_lines(lines) -> int:
+    """Lines ingest must account for: not UTF-8, or non-blank once decoded
+    (a BOM opening the first line does not count)."""
+    count = 0
+    for number, line in enumerate(lines):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                count += 1
+                continue
+        if number == 0:
+            line = line.removeprefix("\ufeff")
+        count += bool(line.strip())
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=fuzz_lines)
+def test_fuzzed_lines_never_abort_ingest(lines):
+    for parse in (parse_corpus, parse_entity_catalog):
+        _, report = parse(lines)
+        assert report.accepted + report.skipped == non_blank_lines(lines)
+        assert sum(report.reasons.values()) == report.skipped
+
+
 def test_empty_mentions_doc_is_accepted():
     corpus, report = parse_corpus([json.dumps({"id": "a1", "date": "1990-02-11", "mentions": []})])
     assert report.accepted == 1
@@ -194,6 +295,25 @@ def test_duplicate_ids_rejected_on_direct_construction():
 )
 def test_entity_id_validity(value, expected):
     assert is_valid_entity_id(value) is expected
+
+
+def _entity_id_reference(value: object) -> bool:
+    """The original per-character predicate, kept as the reference."""
+    if not isinstance(value, str) or not value:
+        return False
+    return not any(ch.isspace() or ord(ch) < 32 or ord(ch) == 127 for ch in value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.text(alphabet=st.characters(), max_size=12) | st.none() | st.integers())
+def test_entity_id_check_matches_the_per_character_reference(value):
+    assert is_valid_entity_id(value) is _entity_id_reference(value)
+
+
+def test_entity_id_check_matches_the_reference_on_every_code_point():
+    for code_point in range(sys.maxunicode + 1):
+        value = "x" + chr(code_point)
+        assert is_valid_entity_id(value) is _entity_id_reference(value), hex(code_point)
 
 
 def test_catalog_merges_repeated_entities():

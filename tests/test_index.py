@@ -103,45 +103,8 @@ def test_period_ordering_requires_same_granularity():
 def test_build_index_single_document():
     doc = make_doc("a1", "1990-02-11", {"ent:x": 2, "ent:y": 1})
     index = build_index(make_corpus(doc), Granularity.MONTH)
-    month = period_of(date(1990, 2, 11), Granularity.MONTH)
-    assert index.docs_by_period == {month: ("a1",)}
     assert index.docs_by_entity == {"ent:x": ("a1",), "ent:y": ("a1",)}
-    assert index.docs_by_entity_period == {("ent:x", month): ("a1",), ("ent:y", month): ("a1",)}
     assert index.doc_table["a1"] is doc
-
-
-def test_build_index_buckets_sum_to_corpus_size():
-    corpus = make_corpus(
-        make_doc("a1", "1990-01-05", {"ent:x": 1}),
-        make_doc("a2", "1990-01-25", {"ent:x": 1}),
-        make_doc("a3", "1990-02-14", {"ent:y": 2}),
-    )
-    index = build_index(corpus, Granularity.MONTH)
-    sizes = {pid.key: len(ids) for pid, ids in index.docs_by_period.items()}
-    assert sizes == {"1990-01": 2, "1990-02": 1}
-    assert sum(sizes.values()) == 3
-
-
-def test_entity_period_cells_match_the_intersection():
-    corpus = make_corpus(
-        make_doc("a1", "1990-01-05", {"ent:x": 1, "ent:y": 1}),
-        make_doc("a2", "1990-01-25", {"ent:x": 1}),
-        make_doc("a3", "1990-02-14", {"ent:x": 2, "ent:y": 2}),
-    )
-    index = build_index(corpus, Granularity.MONTH)
-    for (entity, pid), ids in index.docs_by_entity_period.items():
-        expected = set(index.docs_by_entity[entity]) & set(index.docs_by_period[pid])
-        assert set(ids) == expected
-        assert ids  # sparse: no empty cells stored
-    # union over periods reconstructs the entity posting
-    for entity, ids in index.docs_by_entity.items():
-        via_periods = {
-            doc_id
-            for (e, _), cell in index.docs_by_entity_period.items()
-            if e == entity
-            for doc_id in cell
-        }
-        assert via_periods == set(ids)
 
 
 def test_postings_are_sorted():
@@ -154,9 +117,8 @@ def test_postings_are_sorted():
     assert index.docs_by_entity["ent:x"] == ("a", "b", "c")
 
 
-def test_document_without_mentions_lands_in_period_index_only():
-    corpus = make_corpus(make_doc("a1", "1990-01-05", {}))
-    index = build_index(corpus, Granularity.MONTH)
-    assert len(index.docs_by_period) == 1
+def test_document_without_mentions_lands_in_doc_table_only():
+    doc = make_doc("a1", "1990-01-05", {})
+    index = build_index(make_corpus(doc), Granularity.MONTH)
     assert index.docs_by_entity == {}
-    assert index.docs_by_entity_period == {}
+    assert index.doc_table == {"a1": doc}

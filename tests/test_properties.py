@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date, timedelta
 
 from hypothesis import assume, given, settings
@@ -103,8 +104,16 @@ def test_relatedness_collapses_over_the_period_partition(corpus, query):
     extras = sorted(corpus.entity_universe - query.entities)
     assume(extras)
     for entity in extras:
-        whole = len(set(index.docs_by_entity.get(entity, ())) & ctx.matched) / len(ctx.matched)
+        hits = set(index.docs_by_entity.get(entity, ())) & ctx.matched
+        whole = len(hits) / len(ctx.matched)
         assert abs(relatedness(ctx, entity) - idf(ctx, entity) * whole) <= 1e-12
+        # the documented order, bit for bit: ascending periods, divide each
+        # period's count, sum, then scale by idf
+        per_period = Counter(period_of(index.doc_table[d].published_at, query.granularity) for d in hits)
+        ordered = 0.0
+        for pid in ctx.periods:
+            ordered += per_period[pid] / len(ctx.matched)
+        assert relatedness(ctx, entity) == idf(ctx, entity) * ordered
 
 
 @settings(max_examples=120, deadline=None)
