@@ -38,7 +38,7 @@ print("matched under all:", sorted(context.matched))
 
 # each matched document contributes to its month's share, shares sum to 1
 for period, share in sorted(context.period_scores.items()):
-    print(period.key, f"{share:.4f}")
+    print(period, f"{share:.4f}")
 
 # the same query under "any" semantics widens the matched set
 relaxed = Query(

@@ -50,7 +50,7 @@ print("relativeness:", relativeness_all(doc, query.entities))
 
 # timeliness: 2 of the 3 matched documents share d1's month
 period = period_of(doc.published_at, index.granularity)
-print("timeliness of", period.key, "is", timeliness(context, period))
+print("timeliness of", period, "is", timeliness(context, period))
 
 # relatedness of the leftover entity: rarity times burst co-occurrence
 print("idf of ent:c:", idf(context, "ent:c"))

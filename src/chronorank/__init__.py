@@ -20,10 +20,8 @@ from .corpus import (
 from .index import (
     CorpusIndex,
     Granularity,
-    PeriodId,
     build_index,
     period_of,
-    periods_in_range,
 )
 from .oracle import oracle_rank
 from .query import (
@@ -57,7 +55,6 @@ __all__ = [
     "EntityId",
     "Granularity",
     "IngestReport",
-    "PeriodId",
     "Query",
     "QueryContext",
     "QueryError",
@@ -77,7 +74,6 @@ __all__ = [
     "parse_entity_catalog",
     "parse_query",
     "period_of",
-    "periods_in_range",
     "rank",
     "relatedness",
     "relativeness_all",

@@ -130,7 +130,7 @@ def _emit(rows: RankedResult, fmt: str, explain: bool, out: IO[str]) -> None:
             "timeliness": _fmt6(row.timeliness),
             "relativeness": _fmt6(row.relativeness),
             "relatedness_term": _fmt6(row.relatedness_term),
-            "period": row.period.key,
+            "period": row.period,
         }
         if fmt == "tsv":
             print("\t".join(str(rendered[name]) for name in columns), file=out)
@@ -184,8 +184,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"documents: {len(corpus)}")
     print(f"entities: {len(corpus.entity_universe)}")
     print(f"span: {first.isoformat()}..{last.isoformat()}")
-    for pid in sorted(counts):
-        print(f"{pid.key}\t{counts[pid]}")
+    for key in sorted(counts):
+        print(f"{key}\t{counts[key]}")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from datetime import date
 
 from .corpus import Corpus, Document, EntityId
-from .index import period_of, periods_in_range
+from .index import period_of
 from .query import Query, Semantics
 from .ranking import RankedResult, ScoreBreakdown
 
@@ -73,13 +73,10 @@ def oracle_rank(corpus: Corpus, query: Query) -> RankedResult:
     computed without any shared scoring code.
     """
     documents = corpus.documents
-    periods = periods_in_range(query.start, query.end, query.granularity)
-    period_keys = [pid.key for pid in periods]
-
     matched: list[tuple[str, Document]] = []
     for doc in documents:
         if _matches(doc, query):
-            key = period_of(doc.published_at, query.granularity).key
+            key = period_of(doc.published_at, query.granularity)
             matched.append((key, doc))
     if not matched:
         return []
@@ -90,6 +87,8 @@ def oracle_rank(corpus: Corpus, query: Query) -> RankedResult:
         if any(entity in doc.mentions for entity in query.entities)
     }
     total = len(matched)
+    # A period holding no matched document would add exactly 0.0.
+    period_keys = sorted({pk for pk, _ in matched})
 
     # One evaluation per distinct entity per query; the engine memoizes the
     # same way, and the score is a pure function of corpus and query.
@@ -118,7 +117,7 @@ def oracle_rank(corpus: Corpus, query: Query) -> RankedResult:
         rows.append(
             ScoreBreakdown(
                 doc_id=doc.id,
-                period=period_of(doc.published_at, query.granularity),
+                period=period_key,
                 relativeness=relativeness,
                 timeliness=timeliness,
                 relatedness_term=relatedness_term,

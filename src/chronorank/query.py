@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Mapping
 
 from .corpus import EntityCatalog, EntityId, is_valid_entity_id
-from .index import CorpusIndex, Granularity, PeriodId, period_of, periods_in_range
+from .index import CorpusIndex, Granularity, period_of
 
 
 class QueryError(ValueError):
@@ -65,18 +65,18 @@ class QueryContext:
     """Everything match/score operations need for one query run.
 
     matched is the set of document ids that satisfy the query. period_scores
-    holds the per-period share of matched documents for every period in the
-    range. entity_scores starts empty and is filled lazily as related-entity
-    scores are computed. query_entity_docs is the corpus-wide union of documents
+    maps the key of each period holding a matched document to that period's
+    share of the matched documents; every other period's share is 0.
+    entity_scores starts empty and is filled lazily as related-entity scores
+    are computed. query_entity_docs is the corpus-wide union of documents
     mentioning any query entity, with no date filtering.
     """
 
     query: Query
     index: CorpusIndex
-    periods: list[PeriodId]
     matched: frozenset[str]
     query_entity_docs: frozenset[str]
-    period_scores: dict[PeriodId, float] = field(default_factory=dict)
+    period_scores: dict[str, float] = field(default_factory=dict)
     entity_scores: dict[EntityId, float] = field(default_factory=dict)
 
 
@@ -97,7 +97,6 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
             f"index granularity {index.granularity.value} does not match "
             f"query granularity {query.granularity.value}"
         )
-    periods = periods_in_range(query.start, query.end, query.granularity)
     postings = [set(index.docs_by_entity.get(e, ())) for e in query.entities]
     if query.semantics is Semantics.ALL:
         candidates = set.intersection(*postings)
@@ -109,18 +108,15 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
         for doc_id in candidates
         if query.start <= index.doc_table[doc_id].published_at <= query.end
     )
-    period_scores: dict[PeriodId, float] = {}
-    if matched:
-        counts = Counter(
-            period_of(index.doc_table[doc_id].published_at, query.granularity)
-            for doc_id in matched
-        )
-        total = len(matched)
-        period_scores = {pid: counts.get(pid, 0) / total for pid in periods}
+    counts = Counter(
+        period_of(index.doc_table[doc_id].published_at, query.granularity)
+        for doc_id in matched
+    )
+    total = len(matched)
+    period_scores = {key: n / total for key, n in counts.items()}
     return QueryContext(
         query=query,
         index=index,
-        periods=periods,
         matched=matched,
         query_entity_docs=union_docs,
         period_scores=period_scores,

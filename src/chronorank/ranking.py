@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document, EntityId
-from .index import CorpusIndex, PeriodId, period_of
+from .index import CorpusIndex, period_of
 from .query import Query, QueryContext, Semantics, match_documents
 
 
@@ -35,7 +35,7 @@ class ScoreBreakdown:
     """Score components for one ranked document."""
 
     doc_id: str
-    period: PeriodId
+    period: str
     relativeness: float
     timeliness: float
     relatedness_term: float
@@ -70,12 +70,15 @@ def relativeness_any(doc: Document, entities: frozenset[EntityId]) -> float:
     return (hits / doc.total_mentions()) * (overlap / len(entities))
 
 
-def timeliness(ctx: QueryContext, period: PeriodId) -> float:
-    """Share of matched documents published in the given period."""
-    try:
-        return ctx.period_scores[period]
-    except KeyError:
-        raise ValueError(f"period {period.key} is outside the query range") from None
+def timeliness(ctx: QueryContext, period: str) -> float:
+    """Share of matched documents published in the period with the given key.
+
+    Raises ValueError for a period outside the query range.
+    """
+    query = ctx.query
+    if not period_of(query.start, query.granularity) <= period <= period_of(query.end, query.granularity):
+        raise ValueError(f"period {period} is outside the query range")
+    return ctx.period_scores.get(period, 0.0)
 
 
 def idf(ctx: QueryContext, entity: EntityId) -> float:
@@ -113,8 +116,8 @@ def relatedness(ctx: QueryContext, entity: EntityId) -> float:
     counts = Counter(period_of(ctx.index.doc_table[doc_id].published_at, ctx.query.granularity) for doc_id in hits)
     total = len(matched)
     cooccurrence = 0.0
-    for pid in sorted(counts):
-        cooccurrence += counts[pid] / total
+    for key in sorted(counts):
+        cooccurrence += counts[key] / total
     score = idf(ctx, entity) * cooccurrence
     memo[entity] = score
     return score
@@ -127,8 +130,8 @@ def final_score(ctx: QueryContext, doc: Document) -> ScoreBreakdown:
         relativeness = relativeness_all(doc, query.entities)
     else:
         relativeness = relativeness_any(doc, query.entities)
-    pid = period_of(doc.published_at, query.granularity)
-    timely = timeliness(ctx, pid)
+    period = period_of(doc.published_at, query.granularity)
+    timely = timeliness(ctx, period)
     related_sum = 0.0
     for entity in sorted(doc.mentions):
         if entity not in query.entities:
@@ -137,7 +140,7 @@ def final_score(ctx: QueryContext, doc: Document) -> ScoreBreakdown:
     total = timely * relativeness + query.beta * relatedness_term
     return ScoreBreakdown(
         doc_id=doc.id,
-        period=pid,
+        period=period,
         relativeness=relativeness,
         timeliness=timely,
         relatedness_term=relatedness_term,

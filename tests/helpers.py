@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from datetime import date, timedelta
 from pathlib import Path
 
+import chronorank
 from chronorank import Corpus, Document, EntityCatalog, Granularity, Query, Semantics
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -13,6 +15,15 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment for a child Python that imports the same chronorank as this
+    process; pytest's pythonpath setting does not reach subprocesses."""
+    package_root = str(Path(chronorank.__file__).parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=search_path, **overrides)
+
 
 # Most periods a generated query may span, per granularity, expressed as the
 # widest start-to-end distance in days.

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import chronorank
-from helpers import golden
+from helpers import child_env, golden
 
 RANK_FLAGS = [
     "--entity", "ent:a", "--entity", "ent:b",
@@ -82,6 +79,21 @@ def test_rank_explain_matches_golden_any(run_cli, fixture_corpus_path):
     code, out, _ = run_cli(*fixture_args(fixture_corpus_path, "--semantics", "any", "--explain"))
     assert code == 0
     assert out == golden("rank_any_month.tsv")
+
+
+@pytest.mark.parametrize("granularity", ["day", "week", "month", "year"])
+def test_rank_widest_range_explains_like_the_corpus_span(run_cli, fixture_corpus_path, granularity):
+    """A range out to the calendar's ends changes neither the rows nor the exit."""
+
+    def explain(start: str, end: str) -> tuple[int, str, str]:
+        return run_cli(
+            "rank", str(fixture_corpus_path), "--entity", "ent:a", "--semantics", "any",
+            "--from", start, "--to", end, "--granularity", granularity, "--explain",
+        )
+
+    code, out, err = explain("0001-01-01", "9999-12-31")
+    assert (code, err) == (0, "")
+    assert out and out == explain("1984-05-03", "1984-06-20")[1]
 
 
 def test_rank_default_columns_are_rank_id_total(run_cli, fixture_corpus_path):
@@ -284,15 +296,11 @@ def test_stats_missing_file_exits_two(run_cli, tmp_path):
 
 def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):
     """Byte-identical stdout across processes with different hash seeds."""
-    # the child imports the same chronorank as this process, with or without PYTHONPATH
-    package_root = str(Path(chronorank.__file__).parents[1])
-    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=search_path)
         proc = subprocess.run(
             [sys.executable, "-m", "chronorank.cli", *fixture_args(fixture_corpus_path, "--semantics", "any", "--explain")[0:]],
-            capture_output=True, env=env, check=True,
+            capture_output=True, env=child_env(PYTHONHASHSEED=seed), check=True,
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

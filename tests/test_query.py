@@ -16,6 +16,8 @@ from chronorank import (
     expand_category,
     match_documents,
     parse_query,
+    period_of,
+    timeliness,
 )
 
 from helpers import make_corpus, make_doc
@@ -163,9 +165,9 @@ def test_match_filters_by_exact_dates_not_period_edges(matching_corpus):
     index = build_index(matching_corpus, Granularity.MONTH)
     ctx = match_documents(index, query(Semantics.ANY, start="1990-01-15", end="1990-02-05"))
     # only_a (Jan 20) and only_b (Feb 5) are inside; in_both (Jan 10) is not,
-    # even though January as a whole is part of the period list.
+    # even though January, a period the range only partly covers, counts.
     assert ctx.matched == {"only_a", "only_b"}
-    assert [p.key for p in ctx.periods] == ["1990-01", "1990-02"]
+    assert ctx.period_scores == {"1990-01": 0.5, "1990-02": 0.5}
 
 
 def test_match_range_boundaries_are_inclusive(matching_corpus):
@@ -175,14 +177,13 @@ def test_match_range_boundaries_are_inclusive(matching_corpus):
     assert "only_b" in ctx.matched
 
 
-def test_match_populates_period_scores_with_zeros(matching_corpus):
+def test_timeliness_of_an_in_range_period_without_matches_is_zero(matching_corpus):
     index = build_index(matching_corpus, Granularity.MONTH)
     ctx = match_documents(index, query(Semantics.ALL, end="1990-03-31"))
-    keys = [p.key for p in ctx.periods]
-    assert keys == ["1990-01", "1990-02", "1990-03"]
-    assert ctx.period_scores[ctx.periods[0]] == 1.0
-    assert ctx.period_scores[ctx.periods[1]] == 0.0
-    assert ctx.period_scores[ctx.periods[2]] == 0.0
+    assert ctx.period_scores == {"1990-01": 1.0}
+    assert timeliness(ctx, "1990-01") == 1.0
+    assert timeliness(ctx, "1990-02") == 0.0
+    assert timeliness(ctx, "1990-03") == 0.0
 
 
 def test_match_union_docs_ignore_the_date_filter(matching_corpus):
@@ -208,7 +209,7 @@ def test_match_rejects_granularity_mismatch(matching_corpus):
 def test_matched_documents_fall_in_exactly_one_period(matching_corpus):
     index = build_index(matching_corpus, Granularity.MONTH)
     ctx = match_documents(index, query(Semantics.ANY))
-    for doc_id in ctx.matched:
-        day = index.doc_table[doc_id].published_at
-        holding = [p for p in ctx.periods if p.first_day() <= day <= p.last_day()]
-        assert len(holding) == 1
+    keys = {period_of(index.doc_table[doc_id].published_at, Granularity.MONTH) for doc_id in ctx.matched}
+    assert set(ctx.period_scores) == keys == {"1990-01", "1990-02"}
+    # each matched document is counted in one period only
+    assert ctx.period_scores["1990-01"] + ctx.period_scores["1990-02"] == 1.0

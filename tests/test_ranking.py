@@ -93,9 +93,8 @@ def all_ctx(six_doc_corpus):
 
 
 def test_timeliness_on_fixture(all_ctx):
-    may, june = all_ctx.periods
-    assert timeliness(all_ctx, may) == pytest.approx(2 / 3, abs=EXACT)
-    assert timeliness(all_ctx, june) == pytest.approx(1 / 3, abs=EXACT)
+    assert timeliness(all_ctx, "1984-05") == pytest.approx(2 / 3, abs=EXACT)
+    assert timeliness(all_ctx, "1984-06") == pytest.approx(1 / 3, abs=EXACT)
 
 
 def test_timeliness_single_match_is_one(six_doc_corpus):
@@ -109,7 +108,7 @@ def test_timeliness_single_match_is_one(six_doc_corpus):
     )
     ctx = match_documents(index, narrow)
     assert ctx.matched == {"d4"}
-    assert timeliness(ctx, ctx.periods[0]) == 1.0
+    assert timeliness(ctx, "1984-06") == 1.0
 
 
 def test_timeliness_rejects_period_outside_range(all_ctx):
@@ -170,7 +169,7 @@ def test_final_score_breakdown_on_fixture(all_ctx):
     assert row.timeliness == pytest.approx(2 / 3, abs=EXACT)
     assert row.relatedness_term == pytest.approx(2 / 45, abs=EXACT)
     assert row.total == pytest.approx((2 / 3) * 0.75 + 0.5 * (2 / 45), abs=EXACT)
-    assert row.period.key == "1984-05"
+    assert row.period == "1984-05"
     # the breakdown recombines exactly
     assert row.total == row.timeliness * row.relativeness + 0.5 * row.relatedness_term
 
