@@ -67,8 +67,10 @@ class QueryContext:
     matched is the set of document ids that satisfy the query. period_scores
     maps the key of each period holding a matched document to that period's
     share of the matched documents; every other period's share is 0.
-    entity_scores starts empty and is filled lazily as related-entity scores
-    are computed. query_entity_docs is the corpus-wide union of documents
+    entity_scores memoizes relatedness per non-query entity: the first lookup
+    that misses fills it, in one pass over the matched and union documents'
+    mentions, for every non-query entity of the matched documents, and sets
+    related_counted. query_entity_docs is the corpus-wide union of documents
     mentioning any query entity, with no date filtering.
     """
 
@@ -78,6 +80,7 @@ class QueryContext:
     query_entity_docs: frozenset[str]
     period_scores: dict[str, float] = field(default_factory=dict)
     entity_scores: dict[EntityId, float] = field(default_factory=dict)
+    related_counted: bool = field(default=False, init=False)
 
 
 def expand_category(catalog: EntityCatalog, category: str) -> set[EntityId]:
@@ -97,12 +100,12 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
             f"index granularity {index.granularity.value} does not match "
             f"query granularity {query.granularity.value}"
         )
-    postings = [set(index.docs_by_entity.get(e, ())) for e in query.entities]
+    postings = [index.docs_by_entity.get(e, ()) for e in query.entities]
+    union_docs = frozenset().union(*postings)
     if query.semantics is Semantics.ALL:
-        candidates = set.intersection(*postings)
+        candidates = union_docs.intersection(*postings)
     else:
-        candidates = set.union(*postings)
-    union_docs = frozenset(set.union(*postings))
+        candidates = union_docs
     matched = frozenset(
         doc_id
         for doc_id in candidates

@@ -14,6 +14,12 @@ A document's total score combines three signals:
 where the mean divides by the full entity count of the document and sums only
 over its non-query entities.
 
+Relatedness is computed for all related entities of a query at once: one
+pass counts each entity's matched documents by period, and one counts its
+documents in the query-entity union for idf. No posting is scanned on the
+ranking path. The counts are integers, so a score does not depend on the
+order the documents are visited in.
+
 Evaluation order is fixed so results are bit-for-bit reproducible: related
 entities are summed in ascending entity-id order, period contributions in
 ascending period order, and the division happens after the sum. Ties in the
@@ -22,8 +28,9 @@ final ordering break by ascending document id.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .corpus import Document, EntityId
 from .index import CorpusIndex, period_of
@@ -96,6 +103,37 @@ def idf(ctx: QueryContext, entity: EntityId) -> float:
     return 1.0 - inside / len(union)
 
 
+def _score_related_entities(ctx: QueryContext) -> None:
+    """Fill the relatedness memo for every non-query entity of the matched documents.
+
+    Counts, per period, the matched documents mentioning each entity, and per
+    entity the union documents mentioning it. The scores then take the float
+    operations of idf and of the ascending per-period sum, in the same order,
+    so they equal a per-entity posting scan bit for bit. Memo entries already
+    present are kept.
+    """
+    union = ctx.query_entity_docs
+    if not union:
+        raise ValueError("no documents mention any query entity")
+    query = ctx.query
+    doc_table = ctx.index.doc_table
+    mentions_by_period: dict[str, list[dict[EntityId, int]]] = defaultdict(list)
+    for doc_id in ctx.matched:
+        doc = doc_table[doc_id]
+        mentions_by_period[period_of(doc.published_at, query.granularity)].append(doc.mentions)
+    total = len(ctx.matched)
+    cooccurrence: dict[EntityId, float] = {}
+    for key in sorted(mentions_by_period):
+        for entity, n in Counter(chain.from_iterable(mentions_by_period[key])).items():
+            cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
+    inside = Counter(chain.from_iterable(doc_table[doc_id].mentions for doc_id in union))
+    memo = ctx.entity_scores
+    for entity, rate in cooccurrence.items():
+        if entity not in query.entities:
+            memo.setdefault(entity, (1.0 - inside[entity] / len(union)) * rate)
+    ctx.related_counted = True
+
+
 def relatedness(ctx: QueryContext, entity: EntityId) -> float:
     """Idf-damped co-occurrence rate of an entity with the matched documents.
 
@@ -103,24 +141,18 @@ def relatedness(ctx: QueryContext, entity: EntityId) -> float:
     documents in that period that also mention the entity, then scales by
     idf. Periods with no such document add 0.0 and are skipped; a single
     overall ratio would round differently and can reorder exact ties.
-    Memoized on the context for the lifetime of the query. Only defined for
-    entities outside the query set.
+    Memoized on the context for the lifetime of the query: the first miss
+    fills the memo for every entity co-occurring with the matched documents
+    in one pass over their mentions and the union's. An entity in no matched
+    document has a zero rate and scores 0.0. Only defined for entities
+    outside the query set.
     """
     if entity in ctx.query.entities:
         raise ValueError(f"entity {entity!r} is a query entity; relatedness applies to the others")
     memo = ctx.entity_scores
-    if entity in memo:
-        return memo[entity]
-    matched = ctx.matched
-    hits = matched.intersection(ctx.index.docs_by_entity.get(entity, ()))
-    counts = Counter(period_of(ctx.index.doc_table[doc_id].published_at, ctx.query.granularity) for doc_id in hits)
-    total = len(matched)
-    cooccurrence = 0.0
-    for key in sorted(counts):
-        cooccurrence += counts[key] / total
-    score = idf(ctx, entity) * cooccurrence
-    memo[entity] = score
-    return score
+    if entity not in memo and not ctx.related_counted:
+        _score_related_entities(ctx)
+    return memo.setdefault(entity, 0.0)
 
 
 def final_score(ctx: QueryContext, doc: Document) -> ScoreBreakdown:

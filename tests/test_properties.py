@@ -14,7 +14,9 @@ from chronorank import (
     Granularity,
     Query,
     Semantics,
+    ScoreBreakdown,
     build_index,
+    final_score,
     idf,
     match_documents,
     oracle_rank,
@@ -113,6 +115,74 @@ def test_relatedness_collapses_over_the_period_partition(corpus, query):
         for key in sorted(per_period):
             ordered += per_period[key] / len(ctx.matched)
         assert relatedness(ctx, entity) == idf(ctx, entity) * ordered
+
+
+def _doc(index: int, offset: int, entities: str) -> Document:
+    return Document(
+        id=f"doc{index:03d}",
+        published_at=WINDOW_START + timedelta(days=offset),
+        mentions=dict.fromkeys(entities, 1),
+    )
+
+
+# B co-occurs with 1 of the 10 matched documents in January and 2 in February:
+# 1/10 + 2/10 is 0.30000000000000004, while the plain ratio 3/10 is 0.3.
+PER_PERIOD_ROUNDING = Corpus(
+    documents=[_doc(0, 0, "AB"), _doc(1, 31, "AB"), _doc(2, 31, "AB")]
+    + [_doc(i, 60, "A") for i in range(3, 10)]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus=corpora(), query=queries())
+@example(
+    corpus=PER_PERIOD_ROUNDING,
+    query=Query(
+        entities=frozenset({"A"}),
+        semantics=Semantics.ALL,
+        start=WINDOW_START,
+        end=WINDOW_START + timedelta(days=89),
+        granularity=Granularity.MONTH,
+    ),
+)
+def test_rows_equal_the_per_posting_formula(corpus, query):
+    """Every row, bit for bit, against relatedness scanned posting by posting:
+    the matched documents in the posting counted by period and summed in
+    ascending period order, times 1 - |posting & union| / |union|."""
+    index = build_index(corpus, query.granularity)
+    ctx = match_documents(index, query)
+    matched, union = ctx.matched, ctx.query_entity_docs
+
+    def period(doc_id: str) -> str:
+        return period_of(index.doc_table[doc_id].published_at, query.granularity)
+
+    def reference_relatedness(entity: str) -> float:
+        posting = index.docs_by_entity.get(entity, ())
+        per_period = Counter(period(d) for d in matched.intersection(posting))
+        cooccurrence = 0.0
+        for key in sorted(per_period):
+            cooccurrence += per_period[key] / len(matched)
+        return (1.0 - len(union.intersection(posting)) / len(union)) * cooccurrence
+
+    shares = Counter(period(d) for d in matched)
+    relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
+    for doc_id in sorted(matched):
+        doc = index.doc_table[doc_id]
+        related_sum = 0.0
+        for entity in sorted(doc.mentions):
+            if entity not in query.entities:
+                related_sum += reference_relatedness(entity)
+        relatedness_term = related_sum / len(doc.mentions)
+        timely = shares[period(doc_id)] / len(matched)
+        rel = relativeness(doc, query.entities)
+        assert final_score(ctx, doc) == ScoreBreakdown(
+            doc_id=doc_id,
+            period=period(doc_id),
+            relativeness=rel,
+            timeliness=timely,
+            relatedness_term=relatedness_term,
+            total=timely * rel + query.beta * relatedness_term,
+        )
 
 
 @settings(max_examples=120, deadline=None)

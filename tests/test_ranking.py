@@ -14,6 +14,7 @@ import pytest
 from chronorank import (
     Granularity,
     Query,
+    QueryContext,
     Semantics,
     build_index,
     final_score,
@@ -97,7 +98,9 @@ def test_timeliness_on_fixture(all_ctx):
     assert timeliness(all_ctx, "1984-06") == pytest.approx(1 / 3, abs=EXACT)
 
 
-def test_timeliness_single_match_is_one(six_doc_corpus):
+@pytest.fixture
+def june_ctx(six_doc_corpus):
+    """ent:d from 1 to 10 June: matched {d4}, union {d4, d6}."""
     index = build_index(six_doc_corpus, Granularity.MONTH)
     narrow = Query(
         entities=frozenset({"ent:d"}),
@@ -106,9 +109,12 @@ def test_timeliness_single_match_is_one(six_doc_corpus):
         end=date(1984, 6, 10),
         granularity=Granularity.MONTH,
     )
-    ctx = match_documents(index, narrow)
-    assert ctx.matched == {"d4"}
-    assert timeliness(ctx, "1984-06") == 1.0
+    return match_documents(index, narrow)
+
+
+def test_timeliness_single_match_is_one(june_ctx):
+    assert june_ctx.matched == {"d4"}
+    assert timeliness(june_ctx, "1984-06") == 1.0
 
 
 def test_timeliness_rejects_period_outside_range(all_ctx):
@@ -160,6 +166,29 @@ def test_relatedness_is_memoized(all_ctx):
 def test_relatedness_rejects_query_entities(all_ctx):
     with pytest.raises(ValueError, match="query entity"):
         relatedness(all_ctx, "ent:a")
+
+
+@pytest.mark.parametrize("ctx_name", ["all_ctx", "june_ctx"])
+def test_scoring_memoizes_exactly_the_related_entities_of_the_matched_documents(ctx_name, request):
+    ctx = request.getfixturevalue(ctx_name)
+    for doc_id in sorted(ctx.matched):
+        final_score(ctx, ctx.index.doc_table[doc_id])
+    related = {e for doc_id in ctx.matched for e in ctx.index.doc_table[doc_id].mentions}
+    assert set(ctx.entity_scores) == related - ctx.query.entities
+
+
+def test_relatedness_is_zero_for_an_entity_mentioned_only_outside_the_matched_set(june_ctx):
+    # ent:c is in d1, d3, d5 and d6, none of them matched; its idf is 0.5
+    assert relatedness(june_ctx, "ent:c") == 0.0
+    assert relatedness(june_ctx, "ent:a") == pytest.approx(0.5, abs=EXACT)
+    assert relatedness(june_ctx, "ent:c") == 0.0
+
+
+@pytest.mark.parametrize("matched", [frozenset(), frozenset({"d1"})])
+def test_relatedness_rejects_an_empty_query_entity_union(all_ctx, matched):
+    ctx = QueryContext(query=all_ctx.query, index=all_ctx.index, matched=matched, query_entity_docs=frozenset())
+    with pytest.raises(ValueError, match="no documents mention any query entity"):
+        relatedness(ctx, "ent:c")
 
 
 def test_final_score_breakdown_on_fixture(all_ctx):
