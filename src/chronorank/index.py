@@ -12,8 +12,8 @@ within one granularity:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
@@ -26,6 +26,10 @@ class Granularity(Enum):
     WEEK = "week"
     MONTH = "month"
     YEAR = "year"
+
+    # Enum's own __hash__ is written in Python and runs on every period_of
+    # cache lookup; members are singletons, so identity hashing is equivalent.
+    __hash__ = object.__hash__
 
 
 @lru_cache(maxsize=None)
@@ -41,18 +45,36 @@ def period_of(day: date, granularity: Granularity) -> str:
     return f"{day.year:04d}"
 
 
+# Most query-entity neighbourhoods one index keeps counts for; the least
+# recently used is evicted first.
+NEIGHBOURHOOD_MEMO_SIZE = 64
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Read-only lookup structures for one corpus.
+    """Lookup structures for one corpus, read-only apart from one cache.
 
     Postings are tuples of document ids in sorted order, which keeps every
     downstream iteration deterministic. No period is stored: queries bucket
     the documents they read. granularity is the one queries must ask for.
+
+    neighbourhood_counts is that cache, filled by ranking and not part of
+    the index's value: it maps a query-entity union (a frozenset of document
+    ids) to the Counter of entities over those documents, the numerator of
+    relatedness's idf factor. The count depends on the union alone, so
+    queries that share their entities share it across date ranges,
+    semantics, top_k and beta. It holds at most NEIGHBOURHOOD_MEMO_SIZE
+    unions, in least recently used order. Threads that rank on one index at
+    the same time must hold a lock around rank, since each call may update
+    the cache.
     """
 
     granularity: Granularity
     docs_by_entity: dict[EntityId, tuple[str, ...]]
     doc_table: dict[str, Document]
+    neighbourhood_counts: dict[frozenset[str], Counter[EntityId]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:

@@ -68,10 +68,13 @@ class QueryContext:
     maps the key of each period holding a matched document to that period's
     share of the matched documents; every other period's share is 0.
     entity_scores memoizes relatedness per non-query entity: the first lookup
-    that misses fills it, in one pass over the matched and union documents'
-    mentions, for every non-query entity of the matched documents, and sets
+    that misses fills it, in one pass over the matched documents' mentions,
+    for every non-query entity of the matched documents, and sets
     related_counted. query_entity_docs is the corpus-wide union of documents
-    mentioning any query entity, with no date filtering.
+    mentioning any query entity, with no date filtering. Its entity counts,
+    idf's numerators, are kept on the index keyed by the union itself, so a
+    later query over the same union reuses them and a context built by hand
+    is scored over exactly its own union.
     """
 
     query: Query

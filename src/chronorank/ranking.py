@@ -15,10 +15,13 @@ where the mean divides by the full entity count of the document and sums only
 over its non-query entities.
 
 Relatedness is computed for all related entities of a query at once: one
-pass counts each entity's matched documents by period, and one counts its
-documents in the query-entity union for idf. No posting is scanned on the
-ranking path. The counts are integers, so a score does not depend on the
-order the documents are visited in.
+pass counts each entity's matched documents by period, and its idf factor
+takes the entity's documents in the query-entity union from a count kept on
+the index. That count depends on the union alone, so it is made once per
+union and index (see CorpusIndex.neighbourhood_counts) and reused by later
+queries over the same entities, whatever their range, semantics, top_k or
+beta. No posting is scanned on the ranking path. The counts are integers, so a score
+does not depend on the order the documents are visited in.
 
 Evaluation order is fixed so results are bit-for-bit reproducible: related
 entities are summed in ascending entity-id order, period contributions in
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .corpus import Document, EntityId
-from .index import CorpusIndex, period_of
+from .index import NEIGHBOURHOOD_MEMO_SIZE, CorpusIndex, period_of
 from .query import Query, QueryContext, Semantics, match_documents
 
 
@@ -103,14 +106,34 @@ def idf(ctx: QueryContext, entity: EntityId) -> float:
     return 1.0 - inside / len(union)
 
 
+def _neighbourhood_counts(ctx: QueryContext) -> Counter[EntityId]:
+    """How many documents of ctx.query_entity_docs mention each entity.
+
+    Read from the index's memo, where a hit becomes the most recently used
+    union. A miss counts the union's mentions and stores the result,
+    evicting the least recently used union once NEIGHBOURHOOD_MEMO_SIZE are
+    held.
+    """
+    memo = ctx.index.neighbourhood_counts
+    union = ctx.query_entity_docs
+    inside = memo.pop(union, None)
+    if inside is None:
+        doc_table = ctx.index.doc_table
+        inside = Counter(chain.from_iterable(doc_table[doc_id].mentions for doc_id in union))
+        if len(memo) >= NEIGHBOURHOOD_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[union] = inside
+    return inside
+
+
 def _score_related_entities(ctx: QueryContext) -> None:
     """Fill the relatedness memo for every non-query entity of the matched documents.
 
-    Counts, per period, the matched documents mentioning each entity, and per
-    entity the union documents mentioning it. The scores then take the float
-    operations of idf and of the ascending per-period sum, in the same order,
-    so they equal a per-entity posting scan bit for bit. Memo entries already
-    present are kept.
+    Counts, per period, the matched documents mentioning each entity, and
+    takes each entity's union documents from _neighbourhood_counts. The
+    scores then take the float operations of idf and of the ascending
+    per-period sum, in the same order, so they equal a per-entity posting
+    scan bit for bit. Memo entries already present are kept.
     """
     union = ctx.query_entity_docs
     if not union:
@@ -126,7 +149,7 @@ def _score_related_entities(ctx: QueryContext) -> None:
     for key in sorted(mentions_by_period):
         for entity, n in Counter(chain.from_iterable(mentions_by_period[key])).items():
             cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
-    inside = Counter(chain.from_iterable(doc_table[doc_id].mentions for doc_id in union))
+    inside = _neighbourhood_counts(ctx)
     memo = ctx.entity_scores
     for entity, rate in cooccurrence.items():
         if entity not in query.entities:
@@ -143,9 +166,9 @@ def relatedness(ctx: QueryContext, entity: EntityId) -> float:
     overall ratio would round differently and can reorder exact ties.
     Memoized on the context for the lifetime of the query: the first miss
     fills the memo for every entity co-occurring with the matched documents
-    in one pass over their mentions and the union's. An entity in no matched
-    document has a zero rate and scores 0.0. Only defined for entities
-    outside the query set.
+    in one pass over their mentions, with idf's counts over the union taken
+    from the index's memo. An entity in no matched document has a zero rate
+    and scores 0.0. Only defined for entities outside the query set.
     """
     if entity in ctx.query.entities:
         raise ValueError(f"entity {entity!r} is a query entity; relatedness applies to the others")
@@ -163,11 +186,15 @@ def final_score(ctx: QueryContext, doc: Document) -> ScoreBreakdown:
     else:
         relativeness = relativeness_any(doc, query.entities)
     period = period_of(doc.published_at, query.granularity)
-    timely = timeliness(ctx, period)
+    timely = ctx.period_scores.get(period)
+    if timely is None:
+        timely = timeliness(ctx, period)
+    scores = ctx.entity_scores
     related_sum = 0.0
-    for entity in sorted(doc.mentions):
+    for entity in doc.mentions:  # Document keeps its mentions sorted
         if entity not in query.entities:
-            related_sum += relatedness(ctx, entity)
+            score = scores.get(entity)
+            related_sum += relatedness(ctx, entity) if score is None else score
     relatedness_term = related_sum / len(doc.mentions)
     total = timely * relativeness + query.beta * relatedness_term
     return ScoreBreakdown(

@@ -13,6 +13,7 @@ from chronorank import (
     Document,
     Granularity,
     Query,
+    QueryContext,
     Semantics,
     ScoreBreakdown,
     build_index,
@@ -148,41 +149,88 @@ PER_PERIOD_ROUNDING = Corpus(
 def test_rows_equal_the_per_posting_formula(corpus, query):
     """Every row, bit for bit, against relatedness scanned posting by posting:
     the matched documents in the posting counted by period and summed in
-    ascending period order, times 1 - |posting & union| / |union|."""
+    ascending period order, times 1 - |posting & union| / |union|. A context
+    built by hand with the whole corpus as its union, on the index that has
+    just counted the query's own union, is scored over its own union."""
     index = build_index(corpus, query.granularity)
     ctx = match_documents(index, query)
-    matched, union = ctx.matched, ctx.query_entity_docs
 
     def period(doc_id: str) -> str:
         return period_of(index.doc_table[doc_id].published_at, query.granularity)
 
-    def reference_relatedness(entity: str) -> float:
-        posting = index.docs_by_entity.get(entity, ())
-        per_period = Counter(period(d) for d in matched.intersection(posting))
-        cooccurrence = 0.0
-        for key in sorted(per_period):
-            cooccurrence += per_period[key] / len(matched)
-        return (1.0 - len(union.intersection(posting)) / len(union)) * cooccurrence
+    def check(ctx: QueryContext) -> None:
+        matched, union = ctx.matched, ctx.query_entity_docs
 
-    shares = Counter(period(d) for d in matched)
-    relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
-    for doc_id in sorted(matched):
-        doc = index.doc_table[doc_id]
-        related_sum = 0.0
-        for entity in sorted(doc.mentions):
-            if entity not in query.entities:
-                related_sum += reference_relatedness(entity)
-        relatedness_term = related_sum / len(doc.mentions)
-        timely = shares[period(doc_id)] / len(matched)
-        rel = relativeness(doc, query.entities)
-        assert final_score(ctx, doc) == ScoreBreakdown(
-            doc_id=doc_id,
-            period=period(doc_id),
-            relativeness=rel,
-            timeliness=timely,
-            relatedness_term=relatedness_term,
-            total=timely * rel + query.beta * relatedness_term,
-        )
+        def reference_relatedness(entity: str) -> float:
+            posting = index.docs_by_entity.get(entity, ())
+            per_period = Counter(period(d) for d in matched.intersection(posting))
+            cooccurrence = 0.0
+            for key in sorted(per_period):
+                cooccurrence += per_period[key] / len(matched)
+            return (1.0 - len(union.intersection(posting)) / len(union)) * cooccurrence
+
+        shares = Counter(period(d) for d in matched)
+        relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
+        for doc_id in sorted(matched):
+            doc = index.doc_table[doc_id]
+            related_sum = 0.0
+            for entity in sorted(doc.mentions):
+                if entity not in query.entities:
+                    related_sum += reference_relatedness(entity)
+            relatedness_term = related_sum / len(doc.mentions)
+            timely = shares[period(doc_id)] / len(matched)
+            rel = relativeness(doc, query.entities)
+            assert final_score(ctx, doc) == ScoreBreakdown(
+                doc_id=doc_id,
+                period=period(doc_id),
+                relativeness=rel,
+                timeliness=timely,
+                relatedness_term=relatedness_term,
+                total=timely * rel + query.beta * relatedness_term,
+            )
+
+    check(ctx)
+    check(QueryContext(
+        query=query,
+        index=index,
+        matched=ctx.matched,
+        query_entity_docs=frozenset(index.doc_table),
+        period_scores=ctx.period_scores,
+    ))
+
+
+@st.composite
+def query_sequences(draw) -> list[Query]:
+    """Queries at one granularity over at most two entity sets, so that most
+    of them share a query-entity union with an earlier one."""
+    granularity = draw(st.sampled_from(list(Granularity)))
+    interests = draw(st.lists(st.sets(st.sampled_from(POOL), min_size=1, max_size=3), min_size=1, max_size=2))
+    batch = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        lo, hi = draw(days), draw(days)
+        batch.append(Query(
+            entities=frozenset(draw(st.sampled_from(interests))),
+            semantics=draw(st.sampled_from(list(Semantics))),
+            start=WINDOW_START + timedelta(days=min(lo, hi)),
+            end=WINDOW_START + timedelta(days=max(lo, hi)),
+            granularity=granularity,
+            beta=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+            top_k=draw(st.sampled_from([None, 1, 3])),
+        ))
+    return batch
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus=corpora(), batch=query_sequences())
+def test_a_warm_index_ranks_like_a_fresh_one(corpus, batch):
+    """Neighbourhood counts reused across ranges, semantics, top_k and beta
+    leave every row as a fresh index gives it, in either query order."""
+    granularity = batch[0].granularity
+    fresh = [rank(build_index(corpus, granularity), query) for query in batch]
+    for order in (range(len(batch)), reversed(range(len(batch)))):
+        warm = build_index(corpus, granularity)
+        for i in order:
+            assert rank(warm, batch[i]) == fresh[i]
 
 
 @settings(max_examples=120, deadline=None)

@@ -28,6 +28,7 @@ from chronorank import (
     timeliness,
 )
 
+from chronorank.index import NEIGHBOURHOOD_MEMO_SIZE
 from helpers import make_corpus, make_doc
 
 EXACT = 1e-12
@@ -161,6 +162,46 @@ def test_relatedness_is_memoized(all_ctx):
     all_ctx.entity_scores["ent:c"] = 123.0  # poke the memo to prove it is used
     assert relatedness(all_ctx, "ent:c") == 123.0
     assert first == pytest.approx(2 / 15, abs=EXACT)
+
+
+def test_neighbourhood_counts_are_reused_across_queries(all_ctx):
+    relatedness(all_ctx, "ent:c")
+    counts = all_ctx.index.neighbourhood_counts
+    assert counts[all_ctx.query_entity_docs]["ent:c"] == 3
+    counts[all_ctx.query_entity_docs]["ent:c"] = 0  # poke the memo to prove it is used
+    # ANY over the same entities has the same union {d1..d5} and matches all
+    # five: ent:c is in d1, d3 of May's three and d5 of June's two
+    any_ctx = match_documents(all_ctx.index, fixture_query(Semantics.ANY))
+    assert any_ctx.query_entity_docs == all_ctx.query_entity_docs
+    assert relatedness(any_ctx, "ent:c") == (1.0 - 0 / 5) * (2 / 5 + 1 / 5)
+
+
+def test_neighbourhood_counts_keep_the_most_recently_used_unions():
+    assert NEIGHBOURHOOD_MEMO_SIZE == 64
+    corpus = make_corpus(*(make_doc(f"d{i:02d}", "1990-01-10", {f"E{i:02d}": 1, "X": 1}) for i in range(70)))
+    index = build_index(corpus, Granularity.MONTH)
+
+    def ask(i: int) -> None:
+        q = Query(
+            entities=frozenset({f"E{i:02d}"}),
+            semantics=Semantics.ALL,
+            start=date(1990, 1, 1),
+            end=date(1990, 1, 31),
+            granularity=Granularity.MONTH,
+        )
+        assert rank(index, q)[0].relatedness_term == 0.0  # X is in every union document
+
+    for i in range(64):
+        ask(i)
+    assert len(index.neighbourhood_counts) == 64
+    ask(0)  # E00's union becomes the most recently used; E01's is now the oldest
+    for i in range(64, 70):
+        ask(i)
+    unions = index.neighbourhood_counts
+    assert len(unions) == 64
+    assert frozenset({"d00"}) in unions
+    assert all(frozenset({f"d{i:02d}"}) not in unions for i in range(1, 7))
+    assert frozenset({"d07"}) in unions and frozenset({"d69"}) in unions
 
 
 def test_relatedness_rejects_query_entities(all_ctx):
