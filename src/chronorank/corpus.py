@@ -20,6 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -47,9 +48,7 @@ def is_valid_entity_id(value: object) -> bool:
     return _BAD_ENTITY_CHAR_RE.search(value) is None
 
 
-def _parse_day(raw: object) -> date | None:
-    if not isinstance(raw, str):
-        return None
+def _parse_day(raw: str) -> date | None:
     m = _DATE_RE.match(raw)
     if m is None:
         return None
@@ -95,19 +94,20 @@ class EntityCatalog:
 class Corpus:
     """Immutable collection of documents plus the catalog they were loaded with.
 
-    entity_universe is derived: the union of all mention keys.
+    entity_universe is derived on first use: the union of all mention keys.
     """
 
     documents: list[Document]
     catalog: EntityCatalog = field(default_factory=EntityCatalog)
-    entity_universe: frozenset[EntityId] = field(init=False)
 
     def __post_init__(self) -> None:
         ids = [d.id for d in self.documents]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate document ids in corpus")
-        universe = frozenset(e for d in self.documents for e in d.mentions)
-        object.__setattr__(self, "entity_universe", universe)
+
+    @cached_property
+    def entity_universe(self) -> frozenset[EntityId]:
+        return frozenset(e for d in self.documents for e in d.mentions)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -179,6 +179,9 @@ def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tu
     report = IngestReport()
     documents: list[Document] = []
     seen: set[str] = set()
+    # Corpora repeat dates, so each distinct date string is parsed once and
+    # its documents share one date object.
+    days: dict[str, date | None] = {}
     for text in _iter_decoded_lines(source):
         if text is None:
             report.note_skip(SKIP_MALFORMED)
@@ -202,7 +205,13 @@ def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tu
         if mentions is None:
             report.note_skip(SKIP_MALFORMED)
             continue
-        day = _parse_day(record.get("date"))
+        raw_day = record.get("date")
+        if not isinstance(raw_day, str):
+            day = None
+        elif raw_day in days:
+            day = days[raw_day]
+        else:
+            day = days[raw_day] = _parse_day(raw_day)
         if day is None:
             report.note_skip(SKIP_DATELESS)
             continue

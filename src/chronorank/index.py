@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 
 from .corpus import Corpus, Document, EntityId
 
@@ -54,9 +55,13 @@ NEIGHBOURHOOD_MEMO_SIZE = 64
 class CorpusIndex:
     """Lookup structures for one corpus, read-only apart from one cache.
 
-    Postings are tuples of document ids in sorted order, which keeps every
-    downstream iteration deterministic. No period is stored: queries bucket
-    the documents they read. granularity is the one queries must ask for.
+    A posting is the tuple of ids of the documents mentioning one entity,
+    ordered by (published_at, id). Date order lets a query cut each posting
+    to its range with two bisections instead of testing every document's
+    date; the id breaks ties between documents of one day, so the order is
+    total and every downstream iteration deterministic. No period is stored:
+    queries bucket the documents they read. granularity is the one queries
+    must ask for.
 
     neighbourhood_counts is that cache, filled by ranking and not part of
     the index's value: it maps a query-entity union (a frozenset of document
@@ -81,13 +86,18 @@ def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:
     """Build the entity postings and the document table for a corpus.
 
     Documents with no mentions appear in doc_table but in no entity posting.
+    Walking the documents in (published_at, id) order fills every posting in
+    that order.
     """
+    # Two stable sorts on single keys run about twice as fast as one sort
+    # on a (date, id) tuple key, and give the same order.
+    by_id = sorted(corpus.documents, key=attrgetter("id"))
     by_entity: dict[EntityId, list[str]] = defaultdict(list)
-    for doc in corpus.documents:
+    for doc in sorted(by_id, key=attrgetter("published_at")):
         for entity in doc.mentions:
             by_entity[entity].append(doc.id)
     return CorpusIndex(
         granularity=granularity,
-        docs_by_entity={e: tuple(sorted(ids)) for e, ids in by_entity.items()},
+        docs_by_entity={e: tuple(ids) for e, ids in by_entity.items()},
         doc_table={doc.id: doc for doc in corpus.documents},
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -54,7 +55,11 @@ class Query:
             )
         if not isinstance(self.beta, (int, float)) or isinstance(self.beta, bool):
             raise QueryError("beta must be a number")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
+        try:
+            usable = math.isfinite(self.beta) and self.beta >= 0
+        except OverflowError:  # an int too large to convert to a float
+            raise QueryError("invalid beta: out of float range (must be finite and >= 0)") from None
+        if not usable:
             raise QueryError(f"invalid beta: {self.beta!r} (must be finite and >= 0)")
         if self.top_k is not None and (not isinstance(self.top_k, int) or isinstance(self.top_k, bool) or self.top_k < 1):
             raise QueryError(f"invalid top_k: {self.top_k!r} (must be a positive integer)")
@@ -94,37 +99,41 @@ def expand_category(catalog: EntityCatalog, category: str) -> set[EntityId]:
 def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
     """Find the documents satisfying a query and precompute period scores.
 
-    Candidates come from the entity postings (intersection for ALL, union for
-    ANY) and are then filtered to the exact date range. Raises ValueError when
-    the index was built at a different granularity than the query asks for.
+    Postings are in date order, so each query entity's posting is cut to the
+    exact date range by two bisections; the matched documents are the
+    intersection (ALL) or union (ANY) of those slices. The date filter thus
+    costs two bisections per posting plus the matched slices, however many
+    of the postings' documents lie outside the range. query_entity_docs is
+    the union of the whole postings. Raises ValueError when the index was
+    built at a different granularity than the query asks for.
     """
     if index.granularity is not query.granularity:
         raise ValueError(
             f"index granularity {index.granularity.value} does not match "
             f"query granularity {query.granularity.value}"
         )
+    doc_table = index.doc_table
+
+    def day(doc_id: str) -> date:
+        return doc_table[doc_id].published_at
+
     postings = [index.docs_by_entity.get(e, ()) for e in query.entities]
-    union_docs = frozenset().union(*postings)
+    in_range = [
+        posting[bisect_left(posting, query.start, key=day) : bisect_right(posting, query.end, key=day)]
+        for posting in postings
+    ]
     if query.semantics is Semantics.ALL:
-        candidates = union_docs.intersection(*postings)
+        matched = frozenset(in_range[0]).intersection(*in_range[1:])
     else:
-        candidates = union_docs
-    matched = frozenset(
-        doc_id
-        for doc_id in candidates
-        if query.start <= index.doc_table[doc_id].published_at <= query.end
-    )
-    counts = Counter(
-        period_of(index.doc_table[doc_id].published_at, query.granularity)
-        for doc_id in matched
-    )
+        matched = frozenset().union(*in_range)
+    counts = Counter(period_of(day(doc_id), query.granularity) for doc_id in matched)
     total = len(matched)
     period_scores = {key: n / total for key, n in counts.items()}
     return QueryContext(
         query=query,
         index=index,
         matched=matched,
-        query_entity_docs=union_docs,
+        query_entity_docs=frozenset().union(*postings),
         period_scores=period_scores,
     )
 

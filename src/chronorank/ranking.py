@@ -23,6 +23,11 @@ queries over the same entities, whatever their range, semantics, top_k or
 beta. No posting is scanned on the ranking path. The counts are integers, so a score
 does not depend on the order the documents are visited in.
 
+Relativeness intersects the query entities with the document's mentions,
+which walks the mentions and probes the query set, so a query naming
+thousands of entities (an expanded category) costs no more per document than
+one naming two.
+
 Evaluation order is fixed so results are bit-for-bit reproducible: related
 entities are summed in ascending entity-id order, period contributions in
 ascending period order, and the division happens after the sum. Ties in the
@@ -61,9 +66,10 @@ def relativeness_all(doc: Document, entities: frozenset[EntityId]) -> float:
     Under ALL semantics every query entity is present, so this is simply the
     query share of the document's mention mass.
     """
-    if not doc.mentions:
+    mentions = doc.mentions
+    if not mentions:
         raise ValueError(f"document {doc.id!r} has no mentions to score")
-    hits = sum(doc.mentions.get(entity, 0) for entity in entities)
+    hits = sum(map(mentions.__getitem__, entities.intersection(mentions)))
     return hits / doc.total_mentions()
 
 
@@ -73,11 +79,12 @@ def relativeness_any(doc: Document, entities: frozenset[EntityId]) -> float:
     The coverage factor is the fraction of query entities the document
     actually mentions, so partial matches score lower than full ones.
     """
-    if not doc.mentions:
+    mentions = doc.mentions
+    if not mentions:
         raise ValueError(f"document {doc.id!r} has no mentions to score")
-    hits = sum(doc.mentions.get(entity, 0) for entity in entities)
-    overlap = sum(1 for entity in entities if entity in doc.mentions)
-    return (hits / doc.total_mentions()) * (overlap / len(entities))
+    named = entities.intersection(mentions)
+    hits = sum(map(mentions.__getitem__, named))
+    return (hits / doc.total_mentions()) * (len(named) / len(entities))
 
 
 def timeliness(ctx: QueryContext, period: str) -> float:

@@ -250,6 +250,19 @@ def test_rank_deeply_nested_query_file_exits_one(run_cli, fixture_corpus_path, t
     assert "not valid JSON" in err
 
 
+def test_rank_query_file_beta_beyond_float_range_exits_one(fixture_corpus_path, tmp_path):
+    qfile = tmp_path / "query.json"
+    qfile.write_text('{"entities": ["ent:a"], "from": "1984-05-01", "to": "1984-06-30", "beta": 1%s}' % ("0" * 400))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronorank.cli", "rank", str(fixture_corpus_path), "--query-file", str(qfile)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "invalid beta" in proc.stderr
+
+
 def test_rank_missing_query_file_exits_two(run_cli, fixture_corpus_path, tmp_path):
     code, _, _ = run_cli("rank", str(fixture_corpus_path), "--query-file", str(tmp_path / "gone.json"))
     assert code == 2

@@ -56,13 +56,17 @@ def test_build_index_single_document():
 
 
 def test_postings_are_sorted():
+    """Postings run in (published_at, id) order, neither in id order nor in
+    corpus order; documents of one day go by id."""
     corpus = make_corpus(
+        make_doc("a", "1990-01-07", {"ent:x": 1}),
+        make_doc("d", "1990-01-05", {"ent:x": 1, "ent:y": 1}),
         make_doc("b", "1990-01-05", {"ent:x": 1}),
-        make_doc("a", "1990-01-06", {"ent:x": 1}),
-        make_doc("c", "1990-01-07", {"ent:x": 1}),
+        make_doc("c", "1990-01-06", {"ent:x": 1, "ent:y": 1}),
     )
     index = build_index(corpus, Granularity.MONTH)
-    assert index.docs_by_entity["ent:x"] == ("a", "b", "c")
+    assert index.docs_by_entity["ent:x"] == ("b", "d", "c", "a")
+    assert index.docs_by_entity["ent:y"] == ("d", "c")
 
 
 def test_document_without_mentions_lands_in_doc_table_only():

@@ -233,6 +233,112 @@ def test_a_warm_index_ranks_like_a_fresh_one(corpus, batch):
             assert rank(warm, batch[i]) == fresh[i]
 
 
+# Ten days for up to fourteen documents, so that days repeat, and range ends
+# from three days before the first to three days after the last, so that a
+# range may lie wholly outside the corpus.
+crowded_days = st.integers(min_value=0, max_value=9)
+range_ends = st.integers(min_value=-3, max_value=12)
+
+
+@st.composite
+def crowded_corpora(draw) -> Corpus:
+    size = draw(st.integers(min_value=0, max_value=14))
+    return Corpus(documents=[
+        Document(
+            id=f"doc{i:03d}",
+            published_at=WINDOW_START + timedelta(days=draw(crowded_days)),
+            mentions={e: 1 for e in draw(entity_sets)},
+        )
+        for i in range(size)
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus=crowded_corpora(),
+    interest=st.sets(st.sampled_from(POOL + ["absent"]), min_size=1, max_size=3),
+    semantics=st.sampled_from(list(Semantics)),
+    granularity=st.sampled_from(list(Granularity)),
+    ends=st.tuples(range_ends, range_ends),
+)
+@example(  # a single day that three documents share, between two others
+    corpus=Corpus(documents=[_doc(0, 2, "A"), _doc(1, 3, "AB"), _doc(2, 3, "A"), _doc(3, 3, "AC"), _doc(4, 4, "A")]),
+    interest={"A"}, semantics=Semantics.ANY, granularity=Granularity.DAY, ends=(3, 3),
+)
+@example(  # wholly before and wholly after the corpus
+    corpus=Corpus(documents=[_doc(0, 2, "AB"), _doc(1, 5, "AB")]),
+    interest={"A", "B"}, semantics=Semantics.ALL, granularity=Granularity.MONTH, ends=(-3, -1),
+)
+@example(
+    corpus=Corpus(documents=[_doc(0, 2, "AB"), _doc(1, 5, "AB")]),
+    interest={"A", "B"}, semantics=Semantics.ANY, granularity=Granularity.WEEK, ends=(6, 12),
+)
+def test_matching_equals_a_date_filter_over_every_posted_document(corpus, interest, semantics, granularity, ends):
+    """The bisected posting slices match exactly the documents a test of
+    every posted document's date keeps, with the same period shares."""
+    start, end = (WINDOW_START + timedelta(days=n) for n in sorted(ends))
+    query = Query(entities=frozenset(interest), semantics=semantics, start=start, end=end, granularity=granularity)
+    index = build_index(corpus, granularity)
+    ctx = match_documents(index, query)
+
+    def published(doc_id: str) -> date:
+        return index.doc_table[doc_id].published_at
+
+    in_range = [
+        {d for d in set(index.docs_by_entity.get(e, ())) if start <= published(d) <= end}
+        for e in interest
+    ]
+    expected = set.intersection(*in_range) if semantics is Semantics.ALL else set.union(*in_range)
+    assert ctx.matched == expected
+    shares = Counter(period_of(published(d), granularity) for d in expected)
+    assert ctx.period_scores == {key: n / len(expected) for key, n in shares.items()}
+    assert ctx.query_entity_docs == set().union(*(index.docs_by_entity.get(e, ()) for e in interest))
+
+
+@st.composite
+def wide_cases(draw) -> tuple[Corpus, Query]:
+    """A query naming 50-200 entities, a few of them mentioned nowhere, over
+    documents that mention either every named entity or a handful."""
+    named = [f"q{i:03d}" for i in range(draw(st.integers(min_value=50, max_value=200)))]
+    absent = [f"absent{i}" for i in range(draw(st.sampled_from([0, 0, 0, 1, 3])))]
+    docs = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        if draw(st.booleans()):
+            mentioned = list(named)
+        else:
+            mentioned = draw(st.lists(st.sampled_from(named), max_size=6, unique=True))
+        mentioned += draw(st.lists(st.sampled_from(POOL), max_size=3, unique=True))
+        docs.append(Document(
+            id=f"doc{i:03d}",
+            published_at=WINDOW_START + timedelta(days=draw(crowded_days)),
+            mentions={e: 1 + (i + j) % 5 for j, e in enumerate(mentioned)},
+        ))
+    lo, hi = draw(range_ends), draw(range_ends)
+    query = Query(
+        entities=frozenset(named + absent),
+        semantics=draw(st.sampled_from(list(Semantics))),
+        start=WINDOW_START + timedelta(days=min(lo, hi)),
+        end=WINDOW_START + timedelta(days=max(lo, hi)),
+        granularity=draw(st.sampled_from(list(Granularity))),
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return Corpus(documents=docs), query
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=wide_cases())
+def test_wide_queries_agree_with_brute_force(case):
+    corpus, query = case
+    got = rank(build_index(corpus, query.granularity), query)
+    expected = oracle_rank(corpus, query)
+    assert [r.doc_id for r in got] == [r.doc_id for r in expected]
+    for mine, ref in zip(got, expected):
+        assert abs(mine.total - ref.total) <= 1e-12
+        assert abs(mine.relativeness - ref.relativeness) <= 1e-12
+        assert abs(mine.timeliness - ref.timeliness) <= 1e-12
+        assert abs(mine.relatedness_term - ref.relatedness_term) <= 1e-12
+
+
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), query=queries())
 def test_all_matches_are_contained_in_any_matches(corpus, query):

@@ -77,7 +77,14 @@ def test_parse_query_rejects_reversed_range():
         parse_query(dict(BASE_ARGS, **{"from": "1990-04-01"}))
 
 
-@pytest.mark.parametrize("beta", [-0.1, "-1", float("nan"), float("inf"), "abc", [1]])
+@pytest.mark.parametrize(
+    "beta",
+    [
+        -0.1, "-1", float("nan"), float("inf"), "abc", [1],
+        # ints beyond float range, which math.isfinite cannot convert
+        pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+    ],
+)
 def test_parse_query_rejects_bad_beta(beta):
     with pytest.raises(QueryError):
         parse_query(dict(BASE_ARGS, beta=beta))

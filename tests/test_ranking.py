@@ -310,3 +310,29 @@ def test_equal_documents_tie_break_by_id():
     twins = [r for r in rows if r.doc_id.startswith("twin")]
     assert twins[0].total == twins[1].total
     assert [t.doc_id for t in twins] == ["twin_a", "twin_b"]
+
+
+class CountingEntities(frozenset):
+    """A query-entity set that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+def test_rank_iterates_the_query_entities_a_bounded_number_of_times(semantics):
+    """Scoring tests each mention of a document against the query entities;
+    it never walks the query entities once per matched document."""
+    docs = [make_doc(f"d{i:02d}", f"1990-01-{1 + i % 28:02d}", {"A": 1, "B": 2, f"X{i % 5}": 1}) for i in range(40)]
+    entities = CountingEntities({"A", "B"})
+    query = Query(
+        entities=entities, semantics=semantics, start=date(1990, 1, 1), end=date(1990, 1, 31),
+        granularity=Granularity.MONTH,
+    )
+    entities.iterations = 0
+    rows = rank(build_index(make_corpus(*docs), Granularity.MONTH), query)
+    assert len(rows) == 40
+    assert entities.iterations <= 2
