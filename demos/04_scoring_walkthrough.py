@@ -17,7 +17,6 @@ from chronorank import (
     Query,
     Semantics,
     build_index,
-    idf,
     load_corpus,
     match_documents,
     oracle_rank,
@@ -52,9 +51,13 @@ print("relativeness:", relativeness_all(doc, query.entities))
 period = period_of(doc.published_at, index.granularity)
 print("timeliness of", period, "is", timeliness(context, period))
 
-# relatedness of the leftover entity: rarity times burst co-occurrence
-print("idf of ent:c:", idf(context, "ent:c"))
-print("relatedness of ent:c:", relatedness(context, "ent:c"))
+# relatedness of the leftover entity: rarity times burst co-occurrence.
+# Its first lookup counts the entities of every document that mentions a
+# query entity; idf is the share of those documents without ent:c.
+related = relatedness(context, "ent:c")
+union = context.query_entity_docs
+print("idf of ent:c:", 1.0 - index.neighbourhood_counts[union]["ent:c"] / len(union))
+print("relatedness of ent:c:", related)
 
 # recombine: timeliness * relativeness + beta * mean relatedness of extras
 score = timeliness(context, period) * relativeness_all(doc, query.entities)

@@ -37,7 +37,6 @@ from .ranking import (
     RankedResult,
     ScoreBreakdown,
     final_score,
-    idf,
     rank,
     relatedness,
     relativeness_all,
@@ -64,7 +63,6 @@ __all__ = [
     "build_index",
     "expand_category",
     "final_score",
-    "idf",
     "is_valid_entity_id",
     "load_corpus",
     "load_entity_catalog",

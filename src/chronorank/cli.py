@@ -1,13 +1,15 @@
 """Command line interface: validate, rank, and stats subcommands.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 on success, 1 for
-domain errors (bad query, empty corpus), 2 for I/O errors.
+domain errors (bad query, empty corpus), 2 for I/O errors. A stdout closed
+by its reader (`| head`) is an I/O error that prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import IO
@@ -193,7 +195,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that flushing what is still buffered
+        # at exit cannot print an "Exception ignored" message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
-from .corpus import EntityCatalog, EntityId, is_valid_entity_id
+from .corpus import Document, EntityCatalog, EntityId, is_valid_entity_id
 from .index import CorpusIndex, Granularity, period_of
 
 
@@ -80,6 +81,9 @@ class QueryContext:
     idf's numerators, are kept on the index keyed by the union itself, so a
     later query over the same union reuses them and a context built by hand
     is scored over exactly its own union.
+
+    period_groups buckets the matched documents by period key. It is derived
+    from matched on first read, so a context built by hand gets it too.
     """
 
     query: Query
@@ -89,6 +93,15 @@ class QueryContext:
     period_scores: dict[str, float] = field(default_factory=dict)
     entity_scores: dict[EntityId, float] = field(default_factory=dict)
     related_counted: bool = field(default=False, init=False)
+
+    @cached_property
+    def period_groups(self) -> dict[str, list[Document]]:
+        """The matched documents, bucketed by the key of their period."""
+        granularity = self.query.granularity
+        groups: dict[str, list[Document]] = defaultdict(list)
+        for doc in map(self.index.doc_table.__getitem__, self.matched):
+            groups[period_of(doc.published_at, granularity)].append(doc)
+        return dict(groups)
 
 
 def expand_category(catalog: EntityCatalog, category: str) -> set[EntityId]:
@@ -104,7 +117,9 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
     intersection (ALL) or union (ANY) of those slices. The date filter thus
     costs two bisections per posting plus the matched slices, however many
     of the postings' documents lie outside the range. query_entity_docs is
-    the union of the whole postings. Raises ValueError when the index was
+    the union of the whole postings. The matched documents are bucketed by
+    period once, into ctx.period_groups, and each period's share is its
+    group's size over the matched count. Raises ValueError when the index was
     built at a different granularity than the query asks for.
     """
     if index.granularity is not query.granularity:
@@ -126,16 +141,15 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
         matched = frozenset(in_range[0]).intersection(*in_range[1:])
     else:
         matched = frozenset().union(*in_range)
-    counts = Counter(period_of(day(doc_id), query.granularity) for doc_id in matched)
-    total = len(matched)
-    period_scores = {key: n / total for key, n in counts.items()}
-    return QueryContext(
+    ctx = QueryContext(
         query=query,
         index=index,
         matched=matched,
         query_entity_docs=frozenset().union(*postings),
-        period_scores=period_scores,
     )
+    total = len(matched)
+    ctx.period_scores = {key: len(docs) / total for key, docs in ctx.period_groups.items()}
+    return ctx
 
 
 _QUERY_FIELDS = frozenset(

@@ -28,17 +28,31 @@ which walks the mentions and probes the query set, so a query naming
 thousands of entities (an expanded category) costs no more per document than
 one naming two.
 
+Cost model of one rank call: match_documents buckets the matched documents
+by period once (QueryContext.period_groups); one related pass reads those
+groups and fills the relatedness memo; the row formula (_score_rows) then
+runs one loop per period group, reading the group's timeliness once; and a
+ScoreBreakdown is built only for the rows returned. final_score runs the same
+row formula on its one document, so the engine has one copy of it; the
+oracle keeps the one independent copy.
+
 Evaluation order is fixed so results are bit-for-bit reproducible: related
 entities are summed in ascending entity-id order, period contributions in
 ascending period order, and the division happens after the sum. Ties in the
-final ordering break by ascending document id.
+final ordering break by ascending document id. Float sums are written as
+left-to-right additions, never with builtin sum(): from Python 3.12 sum()
+compensates float rounding, so the same sum would give other bits there.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from heapq import nsmallest
+from itertools import chain, repeat
+from operator import add, attrgetter
+from typing import Iterable
 
 from .corpus import Document, EntityId
 from .index import NEIGHBOURHOOD_MEMO_SIZE, CorpusIndex, period_of
@@ -58,6 +72,13 @@ class ScoreBreakdown:
 
 
 RankedResult = list[ScoreBreakdown]
+
+# A scored document as (-total, doc_id, period, relativeness, timeliness,
+# relatedness_term, total): tuples sort by total descending, then id
+# ascending, and the fields after the first are a ScoreBreakdown's.
+Row = tuple[float, str, str, float, float, float, float]
+
+_mentions = attrgetter("mentions")
 
 
 def relativeness_all(doc: Document, entities: frozenset[EntityId]) -> float:
@@ -98,21 +119,6 @@ def timeliness(ctx: QueryContext, period: str) -> float:
     return ctx.period_scores.get(period, 0.0)
 
 
-def idf(ctx: QueryContext, entity: EntityId) -> float:
-    """Inverse frequency of an entity within the query-entity neighbourhood.
-
-    Counts how often the entity appears among all documents, corpus-wide,
-    that mention at least one query entity. An entity present in every such
-    document scores 0; one present in none scores 1.
-    """
-    union = ctx.query_entity_docs
-    if not union:
-        raise ValueError("no documents mention any query entity")
-    posting = ctx.index.docs_by_entity.get(entity, ())
-    inside = sum(1 for doc_id in posting if doc_id in union)
-    return 1.0 - inside / len(union)
-
-
 def _neighbourhood_counts(ctx: QueryContext) -> Counter[EntityId]:
     """How many documents of ctx.query_entity_docs mention each entity.
 
@@ -125,8 +131,7 @@ def _neighbourhood_counts(ctx: QueryContext) -> Counter[EntityId]:
     union = ctx.query_entity_docs
     inside = memo.pop(union, None)
     if inside is None:
-        doc_table = ctx.index.doc_table
-        inside = Counter(chain.from_iterable(doc_table[doc_id].mentions for doc_id in union))
+        inside = Counter(chain.from_iterable(map(_mentions, map(ctx.index.doc_table.__getitem__, union))))
         if len(memo) >= NEIGHBOURHOOD_MEMO_SIZE:
             del memo[next(iter(memo))]
     memo[union] = inside
@@ -136,30 +141,27 @@ def _neighbourhood_counts(ctx: QueryContext) -> Counter[EntityId]:
 def _score_related_entities(ctx: QueryContext) -> None:
     """Fill the relatedness memo for every non-query entity of the matched documents.
 
-    Counts, per period, the matched documents mentioning each entity, and
-    takes each entity's union documents from _neighbourhood_counts. The
-    scores then take the float operations of idf and of the ascending
-    per-period sum, in the same order, so they equal a per-entity posting
-    scan bit for bit. Memo entries already present are kept.
+    Counts, per period group of ctx.period_groups, the matched documents
+    mentioning each entity, and takes each entity's union documents from
+    _neighbourhood_counts. The scores then take the float operations of idf
+    and of the ascending per-period sum, in the same order, so they equal a
+    per-entity posting scan bit for bit. Memo entries already present are
+    kept.
     """
     union = ctx.query_entity_docs
     if not union:
         raise ValueError("no documents mention any query entity")
-    query = ctx.query
-    doc_table = ctx.index.doc_table
-    mentions_by_period: dict[str, list[dict[EntityId, int]]] = defaultdict(list)
-    for doc_id in ctx.matched:
-        doc = doc_table[doc_id]
-        mentions_by_period[period_of(doc.published_at, query.granularity)].append(doc.mentions)
+    groups = ctx.period_groups
     total = len(ctx.matched)
     cooccurrence: dict[EntityId, float] = {}
-    for key in sorted(mentions_by_period):
-        for entity, n in Counter(chain.from_iterable(mentions_by_period[key])).items():
+    for key in sorted(groups):
+        for entity, n in Counter(chain.from_iterable(map(_mentions, groups[key]))).items():
             cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
     inside = _neighbourhood_counts(ctx)
     memo = ctx.entity_scores
+    entities = ctx.query.entities
     for entity, rate in cooccurrence.items():
-        if entity not in query.entities:
+        if entity not in entities:
             memo.setdefault(entity, (1.0 - inside[entity] / len(union)) * rate)
     ctx.related_counted = True
 
@@ -185,33 +187,41 @@ def relatedness(ctx: QueryContext, entity: EntityId) -> float:
     return memo.setdefault(entity, 0.0)
 
 
+def _score_rows(ctx: QueryContext, groups: Iterable[tuple[str, float, Iterable[Document]]]) -> list[Row]:
+    """The row formula, applied group by group to (period, timeliness, documents).
+
+    Returns one Row per document. The relatedness sum runs left to right
+    from 0.0 over the document's sorted mentions, each adding its memo
+    entry; a query entity is never in the memo and adds 0.0, which leaves
+    the sum's bits alone because a sum started at 0.0 is never -0.0. It is
+    not builtin sum(), which from Python 3.12 compensates float sums and
+    would round differently.
+    """
+    if not ctx.related_counted:
+        _score_related_entities(ctx)
+    query = ctx.query
+    entities, beta = query.entities, query.beta
+    relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
+    related = ctx.entity_scores.get
+    rows: list[Row] = []
+    for period, timely, docs in groups:
+        for doc in docs:
+            mentions = doc.mentions
+            rel = relativeness(doc, entities)
+            term = reduce(add, map(related, mentions, repeat(0.0)), 0.0) / len(mentions)
+            total = timely * rel + beta * term
+            rows.append((-total, doc.id, period, rel, timely, term, total))
+    return rows
+
+
 def final_score(ctx: QueryContext, doc: Document) -> ScoreBreakdown:
     """Combine the three signals into the document's total score."""
-    query = ctx.query
-    if query.semantics is Semantics.ALL:
-        relativeness = relativeness_all(doc, query.entities)
-    else:
-        relativeness = relativeness_any(doc, query.entities)
-    period = period_of(doc.published_at, query.granularity)
+    period = period_of(doc.published_at, ctx.query.granularity)
     timely = ctx.period_scores.get(period)
     if timely is None:
         timely = timeliness(ctx, period)
-    scores = ctx.entity_scores
-    related_sum = 0.0
-    for entity in doc.mentions:  # Document keeps its mentions sorted
-        if entity not in query.entities:
-            score = scores.get(entity)
-            related_sum += relatedness(ctx, entity) if score is None else score
-    relatedness_term = related_sum / len(doc.mentions)
-    total = timely * relativeness + query.beta * relatedness_term
-    return ScoreBreakdown(
-        doc_id=doc.id,
-        period=period,
-        relativeness=relativeness,
-        timeliness=timely,
-        relatedness_term=relatedness_term,
-        total=total,
-    )
+    (row,) = _score_rows(ctx, [(period, timely, (doc,))])
+    return ScoreBreakdown(*row[1:])
 
 
 def rank(index: CorpusIndex, query: Query) -> RankedResult:
@@ -219,13 +229,17 @@ def rank(index: CorpusIndex, query: Query) -> RankedResult:
 
     Results are sorted by total descending with ties broken by document id
     ascending, then truncated to top_k when the query sets one. An empty
-    match yields an empty list.
+    match yields an empty list. A top_k query selects its rows with a heap
+    instead of sorting them all, and a ScoreBreakdown is built only for the
+    rows returned.
     """
     ctx = match_documents(index, query)
     if not ctx.matched:
         return []
-    rows = [final_score(ctx, index.doc_table[doc_id]) for doc_id in sorted(ctx.matched)]
-    rows.sort(key=lambda row: (-row.total, row.doc_id))
-    if query.top_k is not None:
-        rows = rows[: query.top_k]
-    return rows
+    shares = ctx.period_scores
+    rows = _score_rows(ctx, ((key, shares[key], docs) for key, docs in ctx.period_groups.items()))
+    if query.top_k is None:
+        rows.sort()
+    else:
+        rows = nsmallest(query.top_k, rows)
+    return [ScoreBreakdown(*row[1:]) for row in rows]

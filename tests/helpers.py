@@ -8,7 +8,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import chronorank
-from chronorank import Corpus, Document, EntityCatalog, Granularity, Query, Semantics
+from chronorank import Corpus, Document, EntityCatalog, Granularity, Query, QueryContext, Semantics
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -33,6 +33,17 @@ RANGE_SPAN_DAYS = {
     Granularity.MONTH: 690,
     Granularity.YEAR: 8300,
 }
+
+
+def idf(ctx: QueryContext, entity: str) -> float:
+    """Reference idf, scanned posting by posting: 1 minus the share of the
+    query-entity union's documents that mention the entity. The engine takes
+    the same count from its neighbourhood memo instead."""
+    union = ctx.query_entity_docs
+    if not union:
+        raise ValueError("no documents mention any query entity")
+    inside = sum(1 for doc_id in ctx.index.docs_by_entity.get(entity, ()) if doc_id in union)
+    return 1.0 - inside / len(union)
 
 
 def make_doc(doc_id: str, day: str, mentions: dict[str, int]) -> Document:

@@ -22,7 +22,6 @@ from chronorank import (
     Query,
     Semantics,
     build_index,
-    idf,
     load_corpus,
     match_documents,
     oracle_rank,
@@ -32,7 +31,7 @@ from chronorank import (
     relativeness_any,
 )
 
-from helpers import golden, random_case
+from helpers import golden, idf, random_case
 
 TOLERANCE = 1e-12
 GRANULARITIES = list(Granularity)

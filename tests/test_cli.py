@@ -307,6 +307,30 @@ def test_stats_missing_file_exits_two(run_cli, tmp_path):
     assert run_cli("stats", str(tmp_path / "gone.jsonl"))[0] == 2
 
 
+def test_rank_into_a_closed_pipe_exits_two_silently(tmp_path):
+    """A reader that stops early (`| head -1`) closes stdout mid-output: the
+    command exits 2 with nothing on stderr. The output is several times the
+    pipe buffer, so the writer is still writing when the reader leaves."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i:05d}", "date": "1990-01-15", "mentions": [{"entity": "A", "count": 1 + i % 7}]}) + "\n"
+        for i in range(6000)
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chronorank.cli", "rank", str(corpus), "--entity", "A",
+         "--from", "1990-01-01", "--to", "1990-01-31", "--explain"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"1\t")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # does nothing once the child has exited
+    assert proc.returncode == 2
+    assert err == b""
+
+
 def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):
     """Byte-identical stdout across processes with different hash seeds."""
     outputs = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from datetime import date, timedelta
 
 from hypothesis import assume, example, given, settings
@@ -18,7 +19,6 @@ from chronorank import (
     ScoreBreakdown,
     build_index,
     final_score,
-    idf,
     match_documents,
     oracle_rank,
     period_of,
@@ -27,6 +27,8 @@ from chronorank import (
     relativeness_all,
     relativeness_any,
 )
+
+from helpers import idf
 
 POOL = ["A", "B", "C", "D", "E", "F"]
 WINDOW_START = date(1990, 1, 1)
@@ -135,7 +137,7 @@ PER_PERIOD_ROUNDING = Corpus(
 
 
 @settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
+@given(corpus=corpora(), query=queries(), top_k=st.sampled_from([None, 1, 3]))
 @example(
     corpus=PER_PERIOD_ROUNDING,
     query=Query(
@@ -145,20 +147,24 @@ PER_PERIOD_ROUNDING = Corpus(
         end=WINDOW_START + timedelta(days=89),
         granularity=Granularity.MONTH,
     ),
+    top_k=None,
 )
-def test_rows_equal_the_per_posting_formula(corpus, query):
+def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
     """Every row, bit for bit, against relatedness scanned posting by posting:
     the matched documents in the posting counted by period and summed in
-    ascending period order, times 1 - |posting & union| / |union|. A context
-    built by hand with the whole corpus as its union, on the index that has
-    just counted the query's own union, is scored over its own union."""
+    ascending period order, times 1 - |posting & union| / |union|. rank
+    returns exactly those rows, sorted by total descending and id ascending,
+    cut to top_k. A context built by hand with the whole corpus as its
+    union, on the index that has just counted the query's own union, is
+    scored over its own union."""
+    query = replace(query, top_k=top_k)
     index = build_index(corpus, query.granularity)
     ctx = match_documents(index, query)
 
     def period(doc_id: str) -> str:
         return period_of(index.doc_table[doc_id].published_at, query.granularity)
 
-    def check(ctx: QueryContext) -> None:
+    def check(ctx: QueryContext) -> list[ScoreBreakdown]:
         matched, union = ctx.matched, ctx.query_entity_docs
 
         def reference_relatedness(entity: str) -> float:
@@ -171,6 +177,7 @@ def test_rows_equal_the_per_posting_formula(corpus, query):
 
         shares = Counter(period(d) for d in matched)
         relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
+        rows = []
         for doc_id in sorted(matched):
             doc = index.doc_table[doc_id]
             related_sum = 0.0
@@ -180,16 +187,19 @@ def test_rows_equal_the_per_posting_formula(corpus, query):
             relatedness_term = related_sum / len(doc.mentions)
             timely = shares[period(doc_id)] / len(matched)
             rel = relativeness(doc, query.entities)
-            assert final_score(ctx, doc) == ScoreBreakdown(
+            rows.append(ScoreBreakdown(
                 doc_id=doc_id,
                 period=period(doc_id),
                 relativeness=rel,
                 timeliness=timely,
                 relatedness_term=relatedness_term,
                 total=timely * rel + query.beta * relatedness_term,
-            )
+            ))
+            assert final_score(ctx, doc) == rows[-1]
+        return rows
 
-    check(ctx)
+    expected = sorted(check(ctx), key=lambda row: (-row.total, row.doc_id))
+    assert rank(index, query) == expected[:top_k]
     check(QueryContext(
         query=query,
         index=index,

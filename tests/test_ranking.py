@@ -18,7 +18,6 @@ from chronorank import (
     Semantics,
     build_index,
     final_score,
-    idf,
     match_documents,
     period_of,
     rank,
@@ -29,7 +28,7 @@ from chronorank import (
 )
 
 from chronorank.index import NEIGHBOURHOOD_MEMO_SIZE
-from helpers import make_corpus, make_doc
+from helpers import idf, make_corpus, make_doc
 
 EXACT = 1e-12
 
