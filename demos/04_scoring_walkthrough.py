@@ -56,7 +56,7 @@ print("timeliness of", period, "is", timeliness(context, period))
 # query entity; idf is the share of those documents without ent:c.
 related = relatedness(context, "ent:c")
 union = context.query_entity_docs
-print("idf of ent:c:", 1.0 - index.neighbourhood_counts[union]["ent:c"] / len(union))
+print("idf of ent:c:", 1.0 - index.neighbourhood(union)["ent:c"] / len(union))
 print("relatedness of ent:c:", related)
 
 # recombine: timeliness * relativeness + beta * mean relatedness of extras

@@ -78,9 +78,10 @@ def _print_report(report: IngestReport, out: IO[str]) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     corpus, report = load_corpus(args.corpus)
+    if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
+        catalog, cat_report = load_entity_catalog(args.catalog)
     _print_report(report, sys.stdout)
     if args.catalog is not None:
-        catalog, cat_report = load_entity_catalog(args.catalog)
         print(f"catalog entities: {len(catalog)}", file=sys.stdout)
         print(f"catalog skipped: {cat_report.skipped}", file=sys.stdout)
     if report.accepted == 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 EntityId = str
 
@@ -130,16 +130,33 @@ class IngestReport:
         self.reasons[reason] += 1
 
 
-def _iter_decoded_lines(source: LineSource) -> Iterable[str | None]:
-    """Yield text lines, minus a BOM opening the first, or None for a line that is not UTF-8."""
+def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
+    """Yield the JSON object on each non-blank line of source.
+
+    A BOM opening the first line is dropped. A line that is not UTF-8, not
+    JSON, or JSON but not an object is skipped and tallied malformed.
+    """
     for number, line in enumerate(source):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
-                yield None
+                report.note_skip(SKIP_MALFORMED)
                 continue
-        yield line.removeprefix("\ufeff") if number == 0 else line
+        if number == 0:
+            line = line.removeprefix("\ufeff")
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except _UNPARSEABLE:
+            report.note_skip(SKIP_MALFORMED)
+            continue
+        if isinstance(record, dict):
+            yield record
+        else:
+            report.note_skip(SKIP_MALFORMED)
 
 
 def _mentions_from_record(raw: object) -> dict[EntityId, int] | None:
@@ -182,21 +199,7 @@ def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tu
     # Corpora repeat dates, so each distinct date string is parsed once and
     # its documents share one date object.
     days: dict[str, date | None] = {}
-    for text in _iter_decoded_lines(source):
-        if text is None:
-            report.note_skip(SKIP_MALFORMED)
-            continue
-        line = text.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except _UNPARSEABLE:
-            report.note_skip(SKIP_MALFORMED)
-            continue
-        if not isinstance(record, dict):
-            report.note_skip(SKIP_MALFORMED)
-            continue
+    for record in _records(source, report):
         doc_id = record.get("id")
         if not isinstance(doc_id, str) or not doc_id:
             report.note_skip(SKIP_MALFORMED)
@@ -233,21 +236,7 @@ def parse_entity_catalog(source: LineSource) -> tuple[EntityCatalog, IngestRepor
     """
     report = IngestReport()
     entries: dict[EntityId, set[str]] = {}
-    for text in _iter_decoded_lines(source):
-        if text is None:
-            report.note_skip(SKIP_MALFORMED)
-            continue
-        line = text.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except _UNPARSEABLE:
-            report.note_skip(SKIP_MALFORMED)
-            continue
-        if not isinstance(record, dict):
-            report.note_skip(SKIP_MALFORMED)
-            continue
+    for record in _records(source, report):
         entity = record.get("entity")
         raw_categories = record.get("categories", [])
         if not is_valid_entity_id(entity) or not isinstance(raw_categories, list):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 
 from .corpus import Corpus, Document, EntityId
@@ -63,15 +64,13 @@ class CorpusIndex:
     queries bucket the documents they read. granularity is the one queries
     must ask for.
 
-    neighbourhood_counts is that cache, filled by ranking and not part of
-    the index's value: it maps a query-entity union (a frozenset of document
-    ids) to the Counter of entities over those documents, the numerator of
-    relatedness's idf factor. The count depends on the union alone, so
-    queries that share their entities share it across date ranges,
-    semantics, top_k and beta. It holds at most NEIGHBOURHOOD_MEMO_SIZE
-    unions, in least recently used order. Threads that rank on one index at
-    the same time must hold a lock around rank, since each call may update
-    the cache.
+    neighbourhood_counts is that cache, kept by neighbourhood() and not part
+    of the index's value: it maps a query-entity union (a frozenset of
+    document ids) to the Counter of entities over those documents, the
+    numerator of relatedness's idf factor. The count depends on the union
+    alone, so queries that share their entities share it across date ranges,
+    semantics, top_k and beta. Threads that rank on one index at the same
+    time must hold a lock around rank, since each call may update the cache.
     """
 
     granularity: Granularity
@@ -80,6 +79,22 @@ class CorpusIndex:
     neighbourhood_counts: dict[frozenset[str], Counter[EntityId]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+
+    def neighbourhood(self, union: frozenset[str]) -> Counter[EntityId]:
+        """How many documents of union mention each entity.
+
+        A cached union becomes the most recently used. Any other is counted
+        from its documents' mentions and cached, evicting the least recently
+        used union once NEIGHBOURHOOD_MEMO_SIZE are held.
+        """
+        memo = self.neighbourhood_counts
+        counts = memo.pop(union, None)
+        if counts is None:
+            counts = Counter(chain.from_iterable(map(attrgetter("mentions"), map(self.doc_table.__getitem__, union))))
+            if len(memo) >= NEIGHBOURHOOD_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[union] = counts
+        return counts
 
 
 def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:

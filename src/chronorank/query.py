@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping
 
 from .corpus import Document, EntityCatalog, EntityId, is_valid_entity_id
@@ -66,33 +68,21 @@ class Query:
             raise QueryError(f"invalid top_k: {self.top_k!r} (must be a positive integer)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryContext:
-    """Everything match/score operations need for one query run.
+    """One query's matched documents, and what scoring derives from them.
 
-    matched is the set of document ids that satisfy the query. period_scores
-    maps the key of each period holding a matched document to that period's
-    share of the matched documents; every other period's share is 0.
-    entity_scores memoizes relatedness per non-query entity: the first lookup
-    that misses fills it, in one pass over the matched documents' mentions,
-    for every non-query entity of the matched documents, and sets
-    related_counted. query_entity_docs is the corpus-wide union of documents
-    mentioning any query entity, with no date filtering. Its entity counts,
-    idf's numerators, are kept on the index keyed by the union itself, so a
-    later query over the same union reuses them and a context built by hand
-    is scored over exactly its own union.
-
-    period_groups buckets the matched documents by period key. It is derived
-    from matched on first read, so a context built by hand gets it too.
+    matched is the set of document ids that satisfy the query.
+    query_entity_docs is the corpus-wide union of documents mentioning any
+    query entity, with no date filtering. Every other attribute is derived
+    from these four fields on first read and then kept, so a context built by
+    hand scores exactly like one from match_documents.
     """
 
     query: Query
     index: CorpusIndex
     matched: frozenset[str]
     query_entity_docs: frozenset[str]
-    period_scores: dict[str, float] = field(default_factory=dict)
-    entity_scores: dict[EntityId, float] = field(default_factory=dict)
-    related_counted: bool = field(default=False, init=False)
 
     @cached_property
     def period_groups(self) -> dict[str, list[Document]]:
@@ -103,6 +93,42 @@ class QueryContext:
             groups[period_of(doc.published_at, granularity)].append(doc)
         return dict(groups)
 
+    @cached_property
+    def period_scores(self) -> dict[str, float]:
+        """Each period's share of the matched documents, keyed by the periods
+        holding one; every other period's share is 0."""
+        total = len(self.matched)
+        return {key: len(docs) / total for key, docs in self.period_groups.items()}
+
+    @cached_property
+    def entity_scores(self) -> dict[EntityId, float]:
+        """Relatedness of every non-query entity of the matched documents.
+
+        Counts, per period group in ascending key order, the matched
+        documents mentioning each entity, and takes each entity's union
+        documents from index.neighbourhood. The scores then take the float
+        operations of idf and of the ascending per-period sum, in the same
+        order, so they equal a per-entity posting scan bit for bit. Raises
+        ValueError when no document mentions a query entity.
+        """
+        union = self.query_entity_docs
+        if not union:
+            raise ValueError("no documents mention any query entity")
+        groups = self.period_groups
+        total = len(self.matched)
+        mentions = attrgetter("mentions")
+        cooccurrence: dict[EntityId, float] = {}
+        for key in sorted(groups):
+            for entity, n in Counter(chain.from_iterable(map(mentions, groups[key]))).items():
+                cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
+        inside = self.index.neighbourhood(union)
+        entities = self.query.entities
+        return {
+            entity: (1.0 - inside[entity] / len(union)) * rate
+            for entity, rate in cooccurrence.items()
+            if entity not in entities
+        }
+
 
 def expand_category(catalog: EntityCatalog, category: str) -> set[EntityId]:
     """All entities the catalog places in the given category."""
@@ -110,16 +136,14 @@ def expand_category(catalog: EntityCatalog, category: str) -> set[EntityId]:
 
 
 def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
-    """Find the documents satisfying a query and precompute period scores.
+    """Find the documents satisfying a query.
 
     Postings are in date order, so each query entity's posting is cut to the
     exact date range by two bisections; the matched documents are the
     intersection (ALL) or union (ANY) of those slices. The date filter thus
     costs two bisections per posting plus the matched slices, however many
     of the postings' documents lie outside the range. query_entity_docs is
-    the union of the whole postings. The matched documents are bucketed by
-    period once, into ctx.period_groups, and each period's share is its
-    group's size over the matched count. Raises ValueError when the index was
+    the union of the whole postings. Raises ValueError when the index was
     built at a different granularity than the query asks for.
     """
     if index.granularity is not query.granularity:
@@ -141,15 +165,12 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
         matched = frozenset(in_range[0]).intersection(*in_range[1:])
     else:
         matched = frozenset().union(*in_range)
-    ctx = QueryContext(
+    return QueryContext(
         query=query,
         index=index,
         matched=matched,
         query_entity_docs=frozenset().union(*postings),
     )
-    total = len(matched)
-    ctx.period_scores = {key: len(docs) / total for key, docs in ctx.period_groups.items()}
-    return ctx
 
 
 _QUERY_FIELDS = frozenset(

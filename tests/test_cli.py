@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from enum import Enum
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chronorank import cli
 from helpers import child_env, golden
 
 RANK_FLAGS = [
@@ -58,6 +66,13 @@ def test_validate_empty_corpus_is_a_domain_error(run_cli, tmp_path):
 def test_validate_missing_file_is_an_io_error(run_cli, tmp_path):
     code, _, err = run_cli("validate", str(tmp_path / "nope.jsonl"))
     assert code == 2
+    assert "error" in err
+
+
+def test_validate_missing_catalog_prints_no_tallies(run_cli, fixture_corpus_path, tmp_path):
+    code, out, err = run_cli("validate", str(fixture_corpus_path), "--catalog", str(tmp_path / "nope.jsonl"))
+    assert code == 2
+    assert out == ""
     assert "error" in err
 
 
@@ -342,3 +357,119 @@ def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].decode() == golden("rank_any_month.tsv")
+
+
+# The CLI boundary under hostile input. argv is drawn from the flag grammar,
+# with each flag's value drawn from plausible, hostile and arbitrary strings;
+# file arguments are drawn as Place tokens and resolved to real paths per
+# example.
+
+
+class Place(Enum):
+    CORPUS = "fixture_corpus.jsonl"
+    CATALOG = "fixture_catalog.jsonl"
+    EMPTY = "empty.jsonl"
+    MISSING = "missing.jsonl"
+    DIRECTORY = "."
+    QUERY = "query.json"
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def _values(*plausible: str) -> st.SearchStrategy[str]:
+    return st.sampled_from(plausible) | st.text(max_size=8)
+
+
+ENTITIES = _values("ent:a", "ent:b", "ent:c", "ent:zz", "", " ", "\u3000", "ent a", "ent:\x00")
+CATEGORIES = _values("cat:focus", "cat:none", "", " ")
+DATES = _values(
+    "1984-05-01", "1984-06-30", "0001-01-01", "9999-12-31", "1984-02-30", "1984-13-01",
+    "\uff11\uff19\uff18\uff14-05-01", "1984-5-1", "1984-05-01T00:00", "",
+)
+NUMBERS = _values(
+    "0.5", "0", "1", "3", "-1", "-0.0", "nan", "inf", "-inf", "1e400", "1e-400",
+    "1" + "0" * 400, "9" * 5000, "0x10", "\uff11", " 2 ", "",
+)
+FILES = st.sampled_from(list(Place))
+FLAG_VALUES = {
+    "rank": {
+        "--entity": ENTITIES,
+        "--category": CATEGORIES,
+        "--semantics": _values("all", "any", "ALL", "none"),
+        "--from": DATES,
+        "--to": DATES,
+        "--granularity": _values("day", "week", "month", "year", "decade"),
+        "--beta": NUMBERS,
+        "--top": NUMBERS,
+        "--format": _values("tsv", "records", "csv"),
+        "--catalog": FILES,
+        "--query-file": FILES,
+    },
+    "validate": {"--catalog": FILES},
+    "stats": {"--granularity": _values("day", "week", "month", "year", "decade")},
+}
+SWITCHES = {"rank": ["--explain", "--oracle"], "validate": [], "stats": []}
+STRAY = st.sampled_from(["--nope", "-z", "--", "-h", "--entity", "--from"]) | st.text(max_size=6)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+QUERY_OBJECTS = st.fixed_dictionaries({}, optional={
+    "entities": st.lists(ENTITIES, max_size=3) | JSON_VALUES,
+    "categories": st.lists(CATEGORIES, max_size=2) | JSON_VALUES,
+    "semantics": st.sampled_from(["all", "any"]) | JSON_VALUES,
+    "from": DATES | JSON_VALUES,
+    "to": DATES | JSON_VALUES,
+    "granularity": st.sampled_from(["day", "week", "month", "year"]) | JSON_VALUES,
+    "beta": NUMBERS | JSON_VALUES,
+    "top_k": NUMBERS | JSON_VALUES,
+    "typo": JSON_VALUES,
+})
+QUERY_FILES = (QUERY_OBJECTS | JSON_VALUES).map(lambda value: json.dumps(value).encode()) | st.binary(max_size=16)
+
+
+@st.composite
+def argvs(draw) -> list[str | Place]:
+    """A subcommand and corpus, a query for rank (flags, a query file, or
+    none), then a few more flags that may override it; now and then a stray
+    token, or the whole argv shuffled."""
+    command = draw(st.sampled_from(["rank", "validate", "stats"]))
+    argv: list[str | Place] = [command, draw(st.just(Place.CORPUS) | FILES)]
+    if command == "rank":
+        argv += draw(st.sampled_from([RANK_FLAGS, ["--query-file", Place.QUERY], []]))
+    flags = FLAG_VALUES[command]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        choice = draw(st.sampled_from([*flags, *SWITCHES[command]]))
+        argv += [choice, draw(flags[choice])] if choice in flags else [choice]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(STRAY))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        argv = draw(st.permutations(argv))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs(), query_file=QUERY_FILES)
+def test_cli_boundary_exits_cleanly_on_hostile_input(argv, query_file):
+    """Any argv and query file: exit 0, 1 or 2, no traceback on stderr, and
+    nothing on stdout unless the run succeeded."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        (scratch / Place.EMPTY.value).write_bytes(b"")
+        (scratch / Place.QUERY.value).write_bytes(query_file)
+        paths = {Place.CORPUS: DATA_DIR / Place.CORPUS.value, Place.CATALOG: DATA_DIR / Place.CATALOG.value}
+        argv = [str(paths.get(arg, scratch / arg.value)) if isinstance(arg, Place) else arg for arg in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    # validate prints its tallies before an empty corpus makes it exit 1
+    if code != 0 and not (argv[:1] == ["validate"] and code == 1):
+        assert out.getvalue() == "", (argv, code, out.getvalue())

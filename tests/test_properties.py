@@ -156,7 +156,8 @@ def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
     returns exactly those rows, sorted by total descending and id ascending,
     cut to top_k. A context built by hand with the whole corpus as its
     union, on the index that has just counted the query's own union, is
-    scored over its own union."""
+    scored over its own union, with period shares derived from its matched
+    set as they are for a matched context."""
     query = replace(query, top_k=top_k)
     index = build_index(corpus, query.granularity)
     ctx = match_documents(index, query)
@@ -205,7 +206,6 @@ def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
         index=index,
         matched=ctx.matched,
         query_entity_docs=frozenset(index.doc_table),
-        period_scores=ctx.period_scores,
     ))
 
 
