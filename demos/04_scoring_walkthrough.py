@@ -22,9 +22,6 @@ from chronorank import (
     oracle_rank,
     period_of,
     rank,
-    relatedness,
-    relativeness_all,
-    timeliness,
 )
 
 fixture = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixture_corpus.jsonl"
@@ -44,24 +41,28 @@ context = match_documents(index, query)
 doc = index.doc_table["d1"]
 print("mentions of d1:", dict(doc.mentions))
 
-# relativeness: 3 of the 4 mention counts hit the query entities
-print("relativeness:", relativeness_all(doc, query.entities))
+# relativeness: 3 of the 4 mention counts hit the query entities. The share
+# is scaled by the fraction of query entities d1 names; d1 names both, as
+# every document an "all" query matches does, so the factor is 1.
+hits = sum(count for entity, count in doc.mentions.items() if entity in query.entities)
+relativeness = hits / doc.total_mentions()
+print("relativeness:", relativeness)
 
 # timeliness: 2 of the 3 matched documents share d1's month
 period = period_of(doc.published_at, index.granularity)
-print("timeliness of", period, "is", timeliness(context, period))
+timeliness = context.period_scores[period]
+print("timeliness of", period, "is", timeliness)
 
 # relatedness of the leftover entity: rarity times burst co-occurrence.
-# Its first lookup counts the entities of every document that mentions a
-# query entity; idf is the share of those documents without ent:c.
-related = relatedness(context, "ent:c")
+# The first read of the scores counts the entities of every document that
+# mentions a query entity; idf is the share of those documents without ent:c.
+related = context.entity_scores["ent:c"]
 union = context.query_entity_docs
 print("idf of ent:c:", 1.0 - index.neighbourhood(union)["ent:c"] / len(union))
 print("relatedness of ent:c:", related)
 
 # recombine: timeliness * relativeness + beta * mean relatedness of extras
-score = timeliness(context, period) * relativeness_all(doc, query.entities)
-score += query.beta * (relatedness(context, "ent:c") / len(doc.mentions))
+score = timeliness * relativeness + query.beta * (related / len(doc.mentions))
 print("total by hand:", score)
 
 # the engine agrees, and so does the brute-force reference

@@ -14,10 +14,10 @@ import sys
 from collections import Counter
 from typing import IO
 
-from .corpus import Corpus, EntityCatalog, IngestReport, load_corpus, load_entity_catalog
-from .index import Granularity, build_index, period_of
+from .corpus import EntityCatalog, IngestReport, load_corpus, load_entity_catalog
+from .index import build_index, period_of
 from .oracle import oracle_rank
-from .query import Query, QueryError, parse_query
+from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query
 from .ranking import RankedResult, rank
 
 EXIT_OK = 0
@@ -47,14 +47,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank the documents matching a query")
     p_rank.add_argument("corpus", help="path to a line-delimited corpus file")
     p_rank.add_argument("--catalog", help="entity catalog used for category expansion")
-    p_rank.add_argument("--entity", action="append", default=None, help="entity of interest (repeatable)")
-    p_rank.add_argument("--category", action="append", default=None, help="category to expand (repeatable)")
-    p_rank.add_argument("--semantics", default=None, help="all or any (default all)")
-    p_rank.add_argument("--from", dest="from_date", default=None, help="range start, YYYY-MM-DD")
-    p_rank.add_argument("--to", dest="to_date", default=None, help="range end, YYYY-MM-DD")
-    p_rank.add_argument("--granularity", default=None, help="day, week, month or year (default month)")
-    p_rank.add_argument("--beta", default=None, help="related-entity weight (default 0.5)")
-    p_rank.add_argument("--top", default=None, help="emit at most this many rows")
+    # Query flags are stored under their query-file field names, and only when given.
+    omit = argparse.SUPPRESS
+    p_rank.add_argument("--entity", dest="entities", metavar="ENTITY", action="append", default=omit,
+                        help="entity of interest (repeatable)")
+    p_rank.add_argument("--category", dest="categories", metavar="CATEGORY", action="append", default=omit,
+                        help="category to expand (repeatable)")
+    p_rank.add_argument("--semantics", default=omit, help="all or any (default all)")
+    p_rank.add_argument("--from", default=omit, help="range start, YYYY-MM-DD")
+    p_rank.add_argument("--to", default=omit, help="range end, YYYY-MM-DD")
+    p_rank.add_argument("--granularity", default=omit, help="day, week, month or year (default month)")
+    p_rank.add_argument("--beta", default=omit, help="related-entity weight (default 0.5)")
+    p_rank.add_argument("--top", dest="top_k", default=omit, help="emit at most this many rows")
     p_rank.add_argument("--format", dest="fmt", default="tsv", help="tsv or records (default tsv)")
     p_rank.add_argument("--explain", action="store_true", help="emit every score component")
     p_rank.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
@@ -77,7 +81,7 @@ def _print_report(report: IngestReport, out: IO[str]) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    corpus, report = load_corpus(args.corpus)
+    _, report = load_corpus(args.corpus)
     if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
         catalog, cat_report = load_entity_catalog(args.catalog)
     _print_report(report, sys.stdout)
@@ -88,27 +92,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print("error: no documents ingested", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
-
-
-def _query_flag_map(args: argparse.Namespace) -> dict[str, object]:
-    mapping: dict[str, object] = {}
-    if args.entity is not None:
-        mapping["entities"] = args.entity
-    if args.category is not None:
-        mapping["categories"] = args.category
-    if args.semantics is not None:
-        mapping["semantics"] = args.semantics
-    if args.from_date is not None:
-        mapping["from"] = args.from_date
-    if args.to_date is not None:
-        mapping["to"] = args.to_date
-    if args.granularity is not None:
-        mapping["granularity"] = args.granularity
-    if args.beta is not None:
-        mapping["beta"] = args.beta
-    if args.top is not None:
-        mapping["top_k"] = args.top
-    return mapping
 
 
 def _load_query_file(path: str) -> dict[str, object]:
@@ -148,19 +131,19 @@ def _emit(rows: RankedResult, fmt: str, explain: bool, out: IO[str]) -> None:
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.fmt not in ("tsv", "records"):
         raise QueryError(f"invalid format: {args.fmt!r} (use tsv or records)")
-    flag_map = _query_flag_map(args)
+    fields = {name: value for name, value in vars(args).items() if name in QUERY_FIELDS}
     if args.query_file is not None:
-        if flag_map:
+        if fields:
             raise QueryError("--query-file cannot be combined with query flags")
-        flag_map = _load_query_file(args.query_file)
+        fields = _load_query_file(args.query_file)
     catalog = EntityCatalog()
     if args.catalog is not None:
         catalog, _ = load_entity_catalog(args.catalog)
-    corpus, report = load_corpus(args.corpus, catalog=catalog)
+    corpus, report = load_corpus(args.corpus)
     if report.accepted == 0:
         print("error: no documents ingested", file=sys.stderr)
         return EXIT_DOMAIN
-    query = parse_query(flag_map, catalog=catalog)
+    query = parse_query(fields, catalog=catalog)
     if args.oracle:
         rows = oracle_rank(corpus, query)
     else:
@@ -171,12 +154,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        granularity = Granularity(args.granularity)
-    except ValueError as exc:
-        raise QueryError(
-            f"invalid granularity: {args.granularity!r} (use day, week, month or year)"
-        ) from exc
+    granularity = parse_granularity(args.granularity)
     corpus, report = load_corpus(args.corpus)
     if report.accepted == 0:
         print("error: no documents ingested", file=sys.stderr)

@@ -92,13 +92,12 @@ class EntityCatalog:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable collection of documents plus the catalog they were loaded with.
+    """Immutable collection of documents.
 
     entity_universe is derived on first use: the union of all mention keys.
     """
 
     documents: list[Document]
-    catalog: EntityCatalog = field(default_factory=EntityCatalog)
 
     def __post_init__(self) -> None:
         ids = [d.id for d in self.documents]
@@ -183,7 +182,7 @@ def _mentions_from_record(raw: object) -> dict[EntityId, int] | None:
     return mentions
 
 
-def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tuple[Corpus, IngestReport]:
+def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
     """Parse line-delimited document records into a Corpus.
 
     Blank lines are ignored. A line is skipped and tallied rather than raised:
@@ -224,8 +223,7 @@ def parse_corpus(source: LineSource, catalog: EntityCatalog | None = None) -> tu
         seen.add(doc_id)
         documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
         report.accepted += 1
-    corpus = Corpus(documents=documents, catalog=catalog or EntityCatalog())
-    return corpus, report
+    return Corpus(documents=documents), report
 
 
 def parse_entity_catalog(source: LineSource) -> tuple[EntityCatalog, IngestReport]:
@@ -250,10 +248,10 @@ def parse_entity_catalog(source: LineSource) -> tuple[EntityCatalog, IngestRepor
     return EntityCatalog(entries=entries), report
 
 
-def load_corpus(path: str | Path, catalog: EntityCatalog | None = None) -> tuple[Corpus, IngestReport]:
+def load_corpus(path: str | Path) -> tuple[Corpus, IngestReport]:
     """Read a corpus file from disk. I/O errors propagate to the caller."""
     with open(path, "rb") as handle:
-        return parse_corpus(handle, catalog=catalog)
+        return parse_corpus(handle)
 
 
 def load_entity_catalog(path: str | Path) -> tuple[EntityCatalog, IngestReport]:

@@ -108,8 +108,10 @@ class QueryContext:
         documents mentioning each entity, and takes each entity's union
         documents from index.neighbourhood. The scores then take the float
         operations of idf and of the ascending per-period sum, in the same
-        order, so they equal a per-entity posting scan bit for bit. Raises
-        ValueError when no document mentions a query entity.
+        order, so they equal a per-entity posting scan bit for bit; one
+        overall ratio would round differently and could reorder exact ties.
+        An entity in no matched document has no entry: its score is 0.0.
+        Raises ValueError when no document mentions a query entity.
         """
         union = self.query_entity_docs
         if not union:
@@ -173,7 +175,7 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
     )
 
 
-_QUERY_FIELDS = frozenset(
+QUERY_FIELDS = frozenset(
     {"entities", "categories", "semantics", "from", "to", "granularity", "beta", "top_k"}
 )
 
@@ -201,6 +203,14 @@ def _parse_string_list(raw: object, label: str) -> list[str]:
     return raw
 
 
+def parse_granularity(raw: object) -> Granularity:
+    """The granularity named by its value string; QueryError for any other."""
+    try:
+        return Granularity(raw)
+    except ValueError as exc:
+        raise QueryError(f"invalid granularity: {raw!r} (use day, week, month or year)") from exc
+
+
 def parse_query(args: Mapping[str, object], catalog: EntityCatalog | None = None) -> Query:
     """Build a Query from a flat field mapping, expanding categories.
 
@@ -209,7 +219,7 @@ def parse_query(args: Mapping[str, object], catalog: EntityCatalog | None = None
     category expansions are unioned before semantics apply. Defaults:
     semantics all, granularity month, beta 0.5, no top_k cap.
     """
-    unknown = set(args) - _QUERY_FIELDS
+    unknown = set(args) - QUERY_FIELDS
     if unknown:
         raise QueryError(f"unknown query fields: {', '.join(sorted(unknown))}")
     entities = set(_parse_string_list(args.get("entities"), "entities"))
@@ -222,13 +232,7 @@ def parse_query(args: Mapping[str, object], catalog: EntityCatalog | None = None
         semantics = Semantics(raw_semantics)
     except ValueError as exc:
         raise QueryError(f"invalid semantics: {raw_semantics!r} (use all or any)") from exc
-    raw_granularity = args.get("granularity", Granularity.MONTH.value)
-    try:
-        granularity = Granularity(raw_granularity)
-    except ValueError as exc:
-        raise QueryError(
-            f"invalid granularity: {raw_granularity!r} (use day, week, month or year)"
-        ) from exc
+    granularity = parse_granularity(args.get("granularity", Granularity.MONTH.value))
     start = _parse_iso_date(args.get("from"), "from")
     end = _parse_iso_date(args.get("to"), "to")
     beta = args.get("beta", 0.5)

@@ -3,11 +3,12 @@
 A document's total score combines three signals:
 
   relativeness   share of the document's mention mass that points at query
-                 entities, under ANY semantics damped by query coverage
+                 entities, times the share of query entities it names
   timeliness     share of all matched documents published in the document's
-                 period
+                 period (QueryContext.period_scores)
   relatedness    per non-query entity, an idf-damped rate of co-occurrence
                  with the matched documents across the query periods
+                 (QueryContext.entity_scores)
 
     total = timeliness * relativeness + beta * mean(relatedness over E_d)
 
@@ -23,10 +24,13 @@ entities reuse it, whatever their range, semantics, top_k or beta. No
 posting is scanned on the ranking path. The counts are integers, so a score
 does not depend on the order the documents are visited in.
 
-Relativeness intersects the query entities with the document's mentions,
-which walks the mentions and probes the query set, so a query naming
-thousands of entities (an expanded category) costs no more per document than
-one naming two.
+Relativeness has one formula whatever the semantics; semantics select only
+which documents match. A document an ALL query matches names every query
+entity, so its coverage factor is exactly 1.0 and leaves the share's bits
+alone. Relativeness intersects the query entities with the document's
+mentions, which walks the mentions and probes the query set, so a query
+naming thousands of entities (an expanded category) costs no more per
+document than one naming two.
 
 Cost model of one rank call: match_documents cuts the postings to the date
 range; the context buckets the matched documents by period once
@@ -56,7 +60,7 @@ from typing import Iterable
 
 from .corpus import Document, EntityId
 from .index import CorpusIndex, period_of
-from .query import Query, QueryContext, Semantics, match_documents
+from .query import Query, QueryContext, match_documents
 
 
 @dataclass(frozen=True)
@@ -79,58 +83,20 @@ RankedResult = list[ScoreBreakdown]
 Row = tuple[float, str, str, float, float, float, float]
 
 
-def relativeness_all(doc: Document, entities: frozenset[EntityId]) -> float:
-    """Fraction of the document's mentions that refer to query entities.
-
-    Under ALL semantics every query entity is present, so this is simply the
-    query share of the document's mention mass.
-    """
-    mentions = doc.mentions
-    if not mentions:
-        raise ValueError(f"document {doc.id!r} has no mentions to score")
-    hits = sum(map(mentions.__getitem__, entities.intersection(mentions)))
-    return hits / doc.total_mentions()
-
-
-def relativeness_any(doc: Document, entities: frozenset[EntityId]) -> float:
-    """Query share of the mention mass, weighted by query coverage.
+def relativeness(doc: Document, entities: frozenset[EntityId]) -> float:
+    """Query share of the document's mention mass, weighted by query coverage.
 
     The coverage factor is the fraction of query entities the document
-    actually mentions, so partial matches score lower than full ones.
+    mentions, so partial matches score lower than full ones. A document an
+    ALL query matches mentions every query entity, so its factor is exactly
+    1.0 and leaves the share's bits alone.
     """
     mentions = doc.mentions
     if not mentions:
         raise ValueError(f"document {doc.id!r} has no mentions to score")
     named = entities.intersection(mentions)
     hits = sum(map(mentions.__getitem__, named))
-    return (hits / doc.total_mentions()) * (len(named) / len(entities))
-
-
-def timeliness(ctx: QueryContext, period: str) -> float:
-    """Share of matched documents published in the period with the given key.
-
-    Raises ValueError for a period outside the query range.
-    """
-    query = ctx.query
-    if not period_of(query.start, query.granularity) <= period <= period_of(query.end, query.granularity):
-        raise ValueError(f"period {period} is outside the query range")
-    return ctx.period_scores.get(period, 0.0)
-
-
-def relatedness(ctx: QueryContext, entity: EntityId) -> float:
-    """Idf-damped co-occurrence rate of an entity with the matched documents.
-
-    Sums, period by period in ascending order, the fraction of matched
-    documents in that period that also mention the entity, then scales by
-    idf. Periods with no such document add 0.0 and are skipped; a single
-    overall ratio would round differently and can reorder exact ties. Read
-    from ctx.entity_scores, which scores every related entity of the query
-    at once; an entity in no matched document has a zero rate and scores
-    0.0. Only defined for entities outside the query set.
-    """
-    if entity in ctx.query.entities:
-        raise ValueError(f"entity {entity!r} is a query entity; relatedness applies to the others")
-    return ctx.entity_scores.get(entity, 0.0)
+    return (hits / sum(mentions.values())) * (len(named) / len(entities))
 
 
 def _score_rows(ctx: QueryContext, groups: Iterable[tuple[str, float, Iterable[Document]]]) -> list[Row]:
@@ -145,7 +111,6 @@ def _score_rows(ctx: QueryContext, groups: Iterable[tuple[str, float, Iterable[D
     """
     query = ctx.query
     entities, beta = query.entities, query.beta
-    relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
     related = ctx.entity_scores.get
     rows: list[Row] = []
     for period, timely, docs in groups:
@@ -159,9 +124,15 @@ def _score_rows(ctx: QueryContext, groups: Iterable[tuple[str, float, Iterable[D
 
 
 def final_score(ctx: QueryContext, doc: Document) -> ScoreBreakdown:
-    """Combine the three signals into the document's total score."""
-    period = period_of(doc.published_at, ctx.query.granularity)
-    (row,) = _score_rows(ctx, [(period, timeliness(ctx, period), (doc,))])
+    """Combine the three signals into the document's total score.
+
+    Raises ValueError for a document whose period is outside the query range.
+    """
+    query = ctx.query
+    period = period_of(doc.published_at, query.granularity)
+    if not period_of(query.start, query.granularity) <= period <= period_of(query.end, query.granularity):
+        raise ValueError(f"period {period} is outside the query range")
+    (row,) = _score_rows(ctx, [(period, ctx.period_scores.get(period, 0.0), (doc,))])
     return ScoreBreakdown(*row[1:])
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chronorank import cli, load_corpus, load_entity_catalog
+from chronorank import cli
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -17,14 +17,6 @@ def fixture_corpus_path() -> Path:
 @pytest.fixture
 def fixture_catalog_path() -> Path:
     return DATA_DIR / "fixture_catalog.jsonl"
-
-
-@pytest.fixture
-def fixture_corpus(fixture_corpus_path, fixture_catalog_path):
-    catalog, _ = load_entity_catalog(fixture_catalog_path)
-    corpus, report = load_corpus(fixture_corpus_path, catalog=catalog)
-    assert report.skipped == 0
-    return corpus
 
 
 @pytest.fixture

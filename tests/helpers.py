@@ -8,7 +8,8 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import chronorank
-from chronorank import Corpus, Document, EntityCatalog, Granularity, Query, QueryContext, Semantics
+from chronorank import Granularity, Query, QueryContext, Semantics
+from chronorank.corpus import Corpus, Document
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -50,8 +51,8 @@ def make_doc(doc_id: str, day: str, mentions: dict[str, int]) -> Document:
     return Document(id=doc_id, published_at=date.fromisoformat(day), mentions=mentions)
 
 
-def make_corpus(*docs: Document, catalog: EntityCatalog | None = None) -> Corpus:
-    return Corpus(documents=list(docs), catalog=catalog or EntityCatalog())
+def make_corpus(*docs: Document) -> Corpus:
+    return Corpus(documents=list(docs))
 
 
 def entity_pool(size: int) -> list[str]:

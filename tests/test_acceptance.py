@@ -16,8 +16,6 @@ from datetime import date, timedelta
 import pytest
 
 from chronorank import (
-    Corpus,
-    Document,
     Granularity,
     Query,
     Semantics,
@@ -26,10 +24,9 @@ from chronorank import (
     match_documents,
     oracle_rank,
     rank,
-    relatedness,
-    relativeness_all,
-    relativeness_any,
 )
+from chronorank.corpus import Corpus, Document
+from chronorank.ranking import relativeness
 
 from helpers import golden, idf, random_case
 
@@ -153,7 +150,7 @@ def test_criterion_3_invariants_hold_across_a_seeded_sweep(verdict):
                         set(index.docs_by_entity.get(entity, ())) & ctx.matched
                     ) / len(ctx.matched)
                     assert abs(
-                        relatedness(ctx, entity) - idf(ctx, entity) * overall
+                        ctx.entity_scores.get(entity, 0.0) - idf(ctx, entity) * overall
                     ) <= TOLERANCE
 
                 # beta = 0 strips ranking back to timeliness * relativeness
@@ -173,7 +170,7 @@ def test_criterion_3_invariants_hold_across_a_seeded_sweep(verdict):
                 for row in plain_rows:
                     assert row.total == row.timeliness * row.relativeness
 
-                # raising a query-entity count raises the ALL-relativeness
+                # raising a query-entity count raises the relativeness
                 # strictly whenever the document has non-query mentions
                 for doc_id in sorted(ctx.matched):
                     doc = index.doc_table[doc_id]
@@ -187,19 +184,15 @@ def test_criterion_3_invariants_hold_across_a_seeded_sweep(verdict):
                         id=doc.id, published_at=doc.published_at,
                         mentions=dict(doc.mentions, **{present[0]: doc.mentions[present[0]] + 3}),
                     )
-                    assert relativeness_all(bumped, query.entities) > relativeness_all(
-                        doc, query.entities
-                    )
+                    assert relativeness(bumped, query.entities) > relativeness(doc, query.entities)
                     monotonicity_checks += 1
                     break
 
-                # single-entity queries score identically under both variants
-                if len(query.entities) == 1:
-                    for doc_id in sorted(ctx.matched):
-                        doc = index.doc_table[doc_id]
-                        assert relativeness_any(doc, query.entities) == relativeness_all(
-                            doc, query.entities
-                        )
+            # semantics only choose the matches: every document ALL matches
+            # carries the same relativeness, bit for bit, in the ANY ranking
+            any_relativeness = {r.doc_id: r.relativeness for r in rank(index, q_any)}
+            for row in rank(index, q_all):
+                assert row.relativeness == any_relativeness[row.doc_id]
 
             # deterministic tie-break: clone one matched document under new ids
             if ctx_any.matched:

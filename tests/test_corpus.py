@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronorank import Corpus, load_corpus, parse_corpus, parse_entity_catalog
-from chronorank.corpus import SKIP_DATELESS, SKIP_DUPLICATE, SKIP_MALFORMED, is_valid_entity_id
+from chronorank import load_corpus, parse_corpus, parse_entity_catalog
+from chronorank.corpus import SKIP_DATELESS, SKIP_DUPLICATE, SKIP_MALFORMED, Corpus, is_valid_entity_id
 
 from helpers import make_doc
 

@@ -10,8 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronorank import (
-    Corpus,
-    Document,
     Granularity,
     Query,
     QueryContext,
@@ -23,10 +21,9 @@ from chronorank import (
     oracle_rank,
     period_of,
     rank,
-    relatedness,
-    relativeness_all,
-    relativeness_any,
 )
+from chronorank.corpus import Corpus, Document
+from chronorank.ranking import relativeness
 
 from helpers import idf
 
@@ -110,14 +107,15 @@ def test_relatedness_collapses_over_the_period_partition(corpus, query):
     for entity in extras:
         hits = set(index.docs_by_entity.get(entity, ())) & ctx.matched
         whole = len(hits) / len(ctx.matched)
-        assert abs(relatedness(ctx, entity) - idf(ctx, entity) * whole) <= 1e-12
+        score = ctx.entity_scores.get(entity, 0.0)
+        assert abs(score - idf(ctx, entity) * whole) <= 1e-12
         # the documented order, bit for bit: ascending periods, divide each
         # period's count, sum, then scale by idf
         per_period = Counter(period_of(index.doc_table[d].published_at, query.granularity) for d in hits)
         ordered = 0.0
         for key in sorted(per_period):
             ordered += per_period[key] / len(ctx.matched)
-        assert relatedness(ctx, entity) == idf(ctx, entity) * ordered
+        assert score == idf(ctx, entity) * ordered
 
 
 def _doc(index: int, offset: int, entities: str) -> Document:
@@ -177,7 +175,6 @@ def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
             return (1.0 - len(union.intersection(posting)) / len(union)) * cooccurrence
 
         shares = Counter(period(d) for d in matched)
-        relativeness = relativeness_all if query.semantics is Semantics.ALL else relativeness_any
         rows = []
         for doc_id in sorted(matched):
             doc = index.doc_table[doc_id]
@@ -187,7 +184,9 @@ def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
                     related_sum += reference_relatedness(entity)
             relatedness_term = related_sum / len(doc.mentions)
             timely = shares[period(doc_id)] / len(matched)
-            rel = relativeness(doc, query.entities)
+            named = [e for e in doc.mentions if e in query.entities]
+            hits = sum(doc.mentions[e] for e in named)
+            rel = (hits / sum(doc.mentions.values())) * (len(named) / len(query.entities))
             rows.append(ScoreBreakdown(
                 doc_id=doc_id,
                 period=period(doc_id),
@@ -410,8 +409,8 @@ def test_increasing_a_query_count_raises_all_relativeness(mentions, extra):
         id="d", published_at=WINDOW_START,
         mentions=dict(mentions, A=mentions["A"] + extra),
     )
-    before = relativeness_all(doc, interest)
-    after = relativeness_all(raised, interest)
+    before = relativeness(doc, interest)
+    after = relativeness(raised, interest)
     if other_mass > 0:
         assert after > before
     else:
@@ -419,15 +418,30 @@ def test_increasing_a_query_count_raises_all_relativeness(mentions, extra):
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    mentions=st.dictionaries(st.sampled_from(POOL), counts, min_size=1, max_size=5),
-    target=st.sampled_from(POOL),
+@given(corpus=corpora(), query=queries())
+@example(
+    corpus=Corpus(documents=[_doc(0, 0, "AB"), _doc(1, 3, "A"), _doc(2, 40, "ABC"), _doc(3, 41, "BC")]),
+    query=Query(
+        entities=frozenset({"A", "B"}),
+        semantics=Semantics.ANY,
+        start=WINDOW_START,
+        end=WINDOW_START + timedelta(days=89),
+        granularity=Granularity.MONTH,
+    ),
 )
-def test_single_entity_variants_agree(mentions, target):
-    assume(target in mentions)
-    doc = Document(id="d", published_at=WINDOW_START, mentions=mentions)
-    interest = frozenset({target})
-    assert relativeness_all(doc, interest) == relativeness_any(doc, interest)
+def test_all_matches_score_the_same_relativeness_under_either_semantics(corpus, query):
+    """Semantics only choose the matched documents. A document an ALL query
+    matches names every query entity, so ANY's coverage factor is exactly 1
+    for it and both rankings carry the plain query share, bit for bit."""
+    index = build_index(corpus, query.granularity)
+    under = {
+        semantics: {row.doc_id: row.relativeness for row in rank(index, replace(query, semantics=semantics))}
+        for semantics in Semantics
+    }
+    for doc_id, rel in under[Semantics.ALL].items():
+        doc = index.doc_table[doc_id]
+        hits = sum(doc.mentions[e] for e in query.entities)
+        assert rel == under[Semantics.ANY][doc_id] == hits / doc.total_mentions()
 
 
 @settings(max_examples=60, deadline=None)

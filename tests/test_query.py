@@ -7,18 +7,18 @@ from datetime import date
 import pytest
 
 from chronorank import (
-    EntityCatalog,
     Granularity,
     Query,
     QueryError,
     Semantics,
     build_index,
-    expand_category,
+    final_score,
     match_documents,
     parse_query,
     period_of,
-    timeliness,
 )
+from chronorank.corpus import EntityCatalog
+from chronorank.query import expand_category
 
 from helpers import make_corpus, make_doc
 
@@ -188,9 +188,11 @@ def test_timeliness_of_an_in_range_period_without_matches_is_zero(matching_corpu
     index = build_index(matching_corpus, Granularity.MONTH)
     ctx = match_documents(index, query(Semantics.ALL, end="1990-03-31"))
     assert ctx.period_scores == {"1990-01": 1.0}
-    assert timeliness(ctx, "1990-01") == 1.0
-    assert timeliness(ctx, "1990-02") == 0.0
-    assert timeliness(ctx, "1990-03") == 0.0
+    scored = {
+        day: final_score(ctx, make_doc(f"on-{day}", day, {"ent:a": 1, "ent:b": 1})).timeliness
+        for day in ("1990-01-15", "1990-02-15", "1990-03-15")
+    }
+    assert scored == {"1990-01-15": 1.0, "1990-02-15": 0.0, "1990-03-15": 0.0}
 
 
 def test_match_union_docs_ignore_the_date_filter(matching_corpus):

@@ -19,48 +19,40 @@ from chronorank import (
     build_index,
     final_score,
     match_documents,
-    period_of,
     rank,
-    relatedness,
-    relativeness_all,
-    relativeness_any,
-    timeliness,
 )
 
 from chronorank.index import NEIGHBOURHOOD_MEMO_SIZE
+from chronorank.ranking import relativeness
 from helpers import idf, make_corpus, make_doc
 
 EXACT = 1e-12
 
 
 def test_relativeness_all_worked_examples():
+    """Documents naming every query entity, as an ALL query matches them:
+    the plain query share of the mention mass."""
     doc = make_doc("d", "1990-01-01", {"A": 2, "B": 1, "C": 1})
-    assert relativeness_all(doc, frozenset({"A", "B"})) == pytest.approx(0.75, abs=EXACT)
+    assert relativeness(doc, frozenset({"A", "B"})) == 3 / 4
     lopsided = make_doc("d2", "1990-01-01", {"A": 1, "X": 9})
-    assert relativeness_all(lopsided, frozenset({"A"})) == pytest.approx(0.1, abs=EXACT)
+    assert relativeness(lopsided, frozenset({"A"})) == 1 / 10
     pure = make_doc("d3", "1990-01-01", {"A": 4})
-    assert relativeness_all(pure, frozenset({"A"})) == pytest.approx(1.0, abs=EXACT)
+    assert relativeness(pure, frozenset({"A"})) == 1.0
 
 
 def test_relativeness_any_worked_examples():
+    """Documents naming some query entities, as only an ANY query matches
+    them: the share is scaled by the fraction of query entities named."""
     partial = make_doc("d", "1990-01-01", {"A": 2, "C": 2})
-    assert relativeness_any(partial, frozenset({"A", "B"})) == pytest.approx(0.25, abs=EXACT)
+    assert relativeness(partial, frozenset({"A", "B"})) == pytest.approx(0.25, abs=EXACT)
     other = make_doc("d2", "1990-01-01", {"B": 3, "X": 1})
-    assert relativeness_any(other, frozenset({"A", "B"})) == pytest.approx(0.375, abs=EXACT)
+    assert relativeness(other, frozenset({"A", "B"})) == pytest.approx(0.375, abs=EXACT)
 
 
 def test_relativeness_rejects_empty_documents():
     empty = make_doc("d", "1990-01-01", {})
     with pytest.raises(ValueError):
-        relativeness_all(empty, frozenset({"A"}))
-    with pytest.raises(ValueError):
-        relativeness_any(empty, frozenset({"A"}))
-
-
-def test_single_entity_queries_make_both_variants_agree():
-    doc = make_doc("d", "1990-01-01", {"A": 3, "B": 2, "C": 5})
-    interest = frozenset({"A"})
-    assert relativeness_any(doc, interest) == relativeness_all(doc, interest)
+        relativeness(empty, frozenset({"A"}))
 
 
 @pytest.fixture
@@ -93,9 +85,24 @@ def all_ctx(six_doc_corpus):
     return match_documents(index, fixture_query(Semantics.ALL))
 
 
+def test_single_entity_queries_make_both_variants_agree(six_doc_corpus):
+    """With one query entity, ALL and ANY match the same documents and so
+    rank them identically."""
+    index = build_index(six_doc_corpus, Granularity.MONTH)
+    variants = [
+        Query(
+            entities=frozenset({"ent:c"}), semantics=semantics, start=date(1984, 5, 1), end=date(1984, 6, 30),
+            granularity=Granularity.MONTH,
+        )
+        for semantics in Semantics
+    ]
+    rows_all, rows_any = (rank(index, query) for query in variants)
+    assert [r.doc_id for r in rows_all] == ["d5", "d6", "d1", "d3"]
+    assert rows_all == rows_any
+
+
 def test_timeliness_on_fixture(all_ctx):
-    assert timeliness(all_ctx, "1984-05") == pytest.approx(2 / 3, abs=EXACT)
-    assert timeliness(all_ctx, "1984-06") == pytest.approx(1 / 3, abs=EXACT)
+    assert all_ctx.period_scores == pytest.approx({"1984-05": 2 / 3, "1984-06": 1 / 3}, abs=EXACT)
 
 
 @pytest.fixture
@@ -114,13 +121,18 @@ def june_ctx(six_doc_corpus):
 
 def test_timeliness_single_match_is_one(june_ctx):
     assert june_ctx.matched == {"d4"}
-    assert timeliness(june_ctx, "1984-06") == 1.0
+    assert june_ctx.period_scores == {"1984-06": 1.0}
+    assert final_score(june_ctx, june_ctx.index.doc_table["d4"]).timeliness == 1.0
 
 
 def test_timeliness_rejects_period_outside_range(all_ctx):
-    stray = period_of(date(1985, 1, 1), Granularity.MONTH)
-    with pytest.raises(ValueError, match="outside the query range"):
-        timeliness(all_ctx, stray)
+    """final_score will not score a document from a period the query range
+    does not reach; one from an in-range period without matches gets 0."""
+    stray = make_doc("stray", "1985-01-01", {"ent:a": 1, "ent:b": 1})
+    with pytest.raises(ValueError, match="period 1985-01 is outside the query range"):
+        final_score(all_ctx, stray)
+    unmatched_june = final_score(all_ctx, make_doc("late", "1984-06-30", {"ent:a": 1}))
+    assert unmatched_june.timeliness == pytest.approx(1 / 3, abs=EXACT)
 
 
 def test_idf_on_fixture(all_ctx):
@@ -150,21 +162,21 @@ def test_idf_is_zero_for_an_omnipresent_entity():
 
 def test_relatedness_on_fixture(all_ctx):
     # idf(ent:c) = 0.4, co-occurrence with {d1,d2,d4}: d1 only -> 1/3
-    assert relatedness(all_ctx, "ent:c") == pytest.approx(2 / 15, abs=EXACT)
+    assert all_ctx.entity_scores["ent:c"] == pytest.approx(2 / 15, abs=EXACT)
     # idf(ent:d) = 0.8, co-occurrence: d4 only -> 1/3
-    assert relatedness(all_ctx, "ent:d") == pytest.approx(4 / 15, abs=EXACT)
+    assert all_ctx.entity_scores["ent:d"] == pytest.approx(4 / 15, abs=EXACT)
 
 
 def test_relatedness_is_memoized(all_ctx):
-    first = relatedness(all_ctx, "ent:c")
-    assert "ent:c" in all_ctx.entity_scores
-    all_ctx.entity_scores["ent:c"] = 123.0  # poke the memo to prove it is used
-    assert relatedness(all_ctx, "ent:c") == 123.0
+    first = all_ctx.entity_scores["ent:c"]
+    all_ctx.entity_scores["ent:c"] = 123.0  # poke the memo to prove scoring reads it
+    d1 = final_score(all_ctx, all_ctx.index.doc_table["d1"])
+    assert d1.relatedness_term == 123.0 / 3
     assert first == pytest.approx(2 / 15, abs=EXACT)
 
 
 def test_neighbourhood_counts_are_reused_across_queries(all_ctx):
-    relatedness(all_ctx, "ent:c")
+    assert "ent:c" in all_ctx.entity_scores
     counts = all_ctx.index.neighbourhood_counts
     assert counts[all_ctx.query_entity_docs]["ent:c"] == 3
     counts[all_ctx.query_entity_docs]["ent:c"] = 0  # poke the memo to prove it is used
@@ -172,7 +184,7 @@ def test_neighbourhood_counts_are_reused_across_queries(all_ctx):
     # five: ent:c is in d1, d3 of May's three and d5 of June's two
     any_ctx = match_documents(all_ctx.index, fixture_query(Semantics.ANY))
     assert any_ctx.query_entity_docs == all_ctx.query_entity_docs
-    assert relatedness(any_ctx, "ent:c") == (1.0 - 0 / 5) * (2 / 5 + 1 / 5)
+    assert any_ctx.entity_scores["ent:c"] == (1.0 - 0 / 5) * (2 / 5 + 1 / 5)
 
 
 def test_neighbourhood_counts_keep_the_most_recently_used_unions():
@@ -204,8 +216,10 @@ def test_neighbourhood_counts_keep_the_most_recently_used_unions():
 
 
 def test_relatedness_rejects_query_entities(all_ctx):
-    with pytest.raises(ValueError, match="query entity"):
-        relatedness(all_ctx, "ent:a")
+    """Query entities get no relatedness score, so they add nothing to a
+    document's relatedness term."""
+    assert all_ctx.query.entities.isdisjoint(all_ctx.entity_scores)
+    assert final_score(all_ctx, all_ctx.index.doc_table["d2"]).relatedness_term == 0.0
 
 
 @pytest.mark.parametrize("ctx_name", ["all_ctx", "june_ctx"])
@@ -218,17 +232,16 @@ def test_scoring_memoizes_exactly_the_related_entities_of_the_matched_documents(
 
 
 def test_relatedness_is_zero_for_an_entity_mentioned_only_outside_the_matched_set(june_ctx):
-    # ent:c is in d1, d3, d5 and d6, none of them matched; its idf is 0.5
-    assert relatedness(june_ctx, "ent:c") == 0.0
-    assert relatedness(june_ctx, "ent:a") == pytest.approx(0.5, abs=EXACT)
-    assert relatedness(june_ctx, "ent:c") == 0.0
+    # ent:c is in d1, d3, d5 and d6, none of them matched, so it has no
+    # score; ent:a, in matched d4, has idf 0.5
+    assert june_ctx.entity_scores == pytest.approx({"ent:a": 0.5, "ent:b": 0.5}, abs=EXACT)
 
 
 @pytest.mark.parametrize("matched", [frozenset(), frozenset({"d1"})])
 def test_relatedness_rejects_an_empty_query_entity_union(all_ctx, matched):
     ctx = QueryContext(query=all_ctx.query, index=all_ctx.index, matched=matched, query_entity_docs=frozenset())
     with pytest.raises(ValueError, match="no documents mention any query entity"):
-        relatedness(ctx, "ent:c")
+        ctx.entity_scores
 
 
 def test_final_score_breakdown_on_fixture(all_ctx):
