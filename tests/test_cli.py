@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -134,6 +135,24 @@ def test_rank_records_format_carries_identical_values(run_cli, fixture_corpus_pa
         assert rec["relatedness_term"] == float(tsv_row[5])
         assert rec["period"] == tsv_row[6]
         assert list(rec) == ["rank", "doc_id", "total", "timeliness", "relativeness", "relatedness_term", "period"]
+
+
+# sha256 of the fixture query's stdout in records format. The TSV goldens pin
+# the tsv bytes; these pin the JSON records byte for byte.
+RECORDS_SHA256 = {
+    ("all", False): "885ddcfae6dc5f7fbb2f8a130f797bc000c76e512e48dbe5fcb3b9df06e70282",
+    ("all", True): "c2a13d575fc292c2886a754f0d0bf4e52049de7c440873e163341d53e3c39218",
+    ("any", False): "303e34b8223e7d26cd2611f6cb01a75db3d8fb1e6c600babaf97887ee52e0b37",
+    ("any", True): "bae37282e4937f3ac4ce0da7bfabdc4c6302c36e325bb3e572f2f587de597421",
+}
+
+
+@pytest.mark.parametrize("semantics, explain", sorted(RECORDS_SHA256))
+def test_rank_records_bytes_are_pinned(run_cli, fixture_corpus_path, semantics, explain):
+    extra = ["--semantics", semantics, "--format", "records"] + (["--explain"] if explain else [])
+    code, out, err = run_cli(*fixture_args(fixture_corpus_path, *extra))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDS_SHA256[semantics, explain], out
 
 
 def test_rank_top_one_emits_one_row(run_cli, fixture_corpus_path):
