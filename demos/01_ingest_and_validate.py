@@ -41,4 +41,4 @@ catalog_feed = io.StringIO("""\
 """)
 catalog, catalog_report = parse_entity_catalog(catalog_feed)
 print("catalog entries:", catalog_report.accepted)
-print("categories of ent:berlin_wall:", sorted(catalog.categories_of("ent:berlin_wall")))
+print("categories of ent:berlin_wall:", sorted(catalog["ent:berlin_wall"]))

@@ -45,11 +45,11 @@ print("mentions of d1:", dict(doc.mentions))
 # is scaled by the fraction of query entities d1 names; d1 names both, as
 # every document an "all" query matches does, so the factor is 1.
 hits = sum(count for entity, count in doc.mentions.items() if entity in query.entities)
-relativeness = hits / doc.total_mentions()
+relativeness = hits / sum(doc.mentions.values())
 print("relativeness:", relativeness)
 
 # timeliness: 2 of the 3 matched documents share d1's month
-period = period_of(doc.published_at, index.granularity)
+period = period_of(doc.published_at, query.granularity)
 timeliness = context.period_scores[period]
 print("timeliness of", period, "is", timeliness)
 

@@ -14,9 +14,8 @@ import sys
 from collections import Counter
 from typing import IO
 
-from .corpus import EntityCatalog, IngestReport, load_corpus, load_entity_catalog
+from .corpus import IngestReport, load_corpus, load_entity_catalog
 from .index import build_index, period_of
-from .oracle import oracle_rank
 from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query
 from .ranking import RankedResult, rank
 
@@ -24,12 +23,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-_EXPLAIN_COLUMNS = ("rank", "doc_id", "total", "timeliness", "relativeness", "relatedness_term", "period")
-_BASIC_COLUMNS = ("rank", "doc_id", "total")
-
-
-def _fmt6(value: float) -> str:
-    return f"{value:.6f}"
+# The printed columns in order: plain output prints the first three, --explain
+# all seven. The four scores print to six decimals.
+_COLUMNS = ("rank", "doc_id", "total", "timeliness", "relativeness", "relatedness_term", "period")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--top", dest="top_k", default=omit, help="emit at most this many rows")
     p_rank.add_argument("--format", dest="fmt", default="tsv", help="tsv or records (default tsv)")
     p_rank.add_argument("--explain", action="store_true", help="emit every score component")
-    p_rank.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p_rank.add_argument("--query-file", dest="query_file", default=None, help="read the query from a JSON file instead of flags")
     p_rank.set_defaults(func=cmd_rank)
 
@@ -80,7 +75,12 @@ def _print_report(report: IngestReport, out: IO[str]) -> None:
         print(f"{reason}: {report.reasons[reason]}", file=out)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _require_documents(report: IngestReport) -> None:
+    if report.accepted == 0:
+        raise ValueError("no documents ingested")
+
+
+def cmd_validate(args: argparse.Namespace) -> None:
     _, report = load_corpus(args.corpus)
     if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
         catalog, cat_report = load_entity_catalog(args.catalog)
@@ -88,10 +88,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.catalog is not None:
         print(f"catalog entities: {len(catalog)}", file=sys.stdout)
         print(f"catalog skipped: {cat_report.skipped}", file=sys.stdout)
-    if report.accepted == 0:
-        print("error: no documents ingested", file=sys.stderr)
-        return EXIT_DOMAIN
-    return EXIT_OK
+    _require_documents(report)
 
 
 def _load_query_file(path: str) -> dict[str, object]:
@@ -107,28 +104,22 @@ def _load_query_file(path: str) -> dict[str, object]:
 
 
 def _emit(rows: RankedResult, fmt: str, explain: bool, out: IO[str]) -> None:
-    columns = _EXPLAIN_COLUMNS if explain else _BASIC_COLUMNS
+    """Print one line per row, in tsv or as a JSON record, with only the
+    printed columns built. A record carries each score rounded to six
+    decimals, the value its tsv cell prints."""
+    columns = _COLUMNS if explain else _COLUMNS[:3]
     for position, row in enumerate(rows, start=1):
-        rendered: dict[str, object] = {
-            "rank": position,
-            "doc_id": row.doc_id,
-            "total": _fmt6(row.total),
-            "timeliness": _fmt6(row.timeliness),
-            "relativeness": _fmt6(row.relativeness),
-            "relatedness_term": _fmt6(row.relatedness_term),
-            "period": row.period,
-        }
+        scores = (row.total, row.timeliness, row.relativeness, row.relatedness_term) if explain else (row.total,)
+        period = (row.period,) if explain else ()
         if fmt == "tsv":
-            print("\t".join(str(rendered[name]) for name in columns), file=out)
+            line = "\t".join((str(position), row.doc_id, *(f"{score:.6f}" for score in scores), *period))
         else:
-            record = {
-                name: float(rendered[name]) if name in ("total", "timeliness", "relativeness", "relatedness_term") else rendered[name]
-                for name in columns
-            }
-            print(json.dumps(record), file=out)
+            values = (position, row.doc_id, *(round(score, 6) for score in scores), *period)
+            line = json.dumps(dict(zip(columns, values)))
+        print(line, file=out)
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace) -> None:
     if args.fmt not in ("tsv", "records"):
         raise QueryError(f"invalid format: {args.fmt!r} (use tsv or records)")
     fields = {name: value for name, value in vars(args).items() if name in QUERY_FIELDS}
@@ -136,29 +127,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
         if fields:
             raise QueryError("--query-file cannot be combined with query flags")
         fields = _load_query_file(args.query_file)
-    catalog = EntityCatalog()
-    if args.catalog is not None:
-        catalog, _ = load_entity_catalog(args.catalog)
+    catalog = load_entity_catalog(args.catalog)[0] if args.catalog is not None else None
+    query = parse_query(fields, catalog=catalog)  # before the corpus, so a bad query fails fast
     corpus, report = load_corpus(args.corpus)
-    if report.accepted == 0:
-        print("error: no documents ingested", file=sys.stderr)
-        return EXIT_DOMAIN
-    query = parse_query(fields, catalog=catalog)
-    if args.oracle:
-        rows = oracle_rank(corpus, query)
-    else:
-        index = build_index(corpus, query.granularity)
-        rows = rank(index, query)
-    _emit(rows, args.fmt, args.explain, sys.stdout)
-    return EXIT_OK
+    _require_documents(report)
+    _emit(rank(build_index(corpus, query.granularity), query), args.fmt, args.explain, sys.stdout)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     granularity = parse_granularity(args.granularity)
     corpus, report = load_corpus(args.corpus)
-    if report.accepted == 0:
-        print("error: no documents ingested", file=sys.stderr)
-        return EXIT_DOMAIN
+    _require_documents(report)
     counts = Counter(period_of(doc.published_at, granularity) for doc in corpus.documents)
     first = min(doc.published_at for doc in corpus.documents)
     last = max(doc.published_at for doc in corpus.documents)
@@ -167,14 +146,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"span: {first.isoformat()}..{last.isoformat()}")
     for key in sorted(counts):
         print(f"{key}\t{counts[key]}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            args.func(args)
+            code = EXIT_OK
+        except ValueError as exc:  # a bad query or flag value, or an empty corpus
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_DOMAIN
         sys.stdout.flush()  # a closed stdout must fail here, not at exit
         return code
     except BrokenPipeError:
@@ -187,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -73,22 +73,6 @@ class Document:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mentions", dict(sorted(self.mentions.items())))
 
-    def total_mentions(self) -> int:
-        return sum(self.mentions.values())
-
-
-@dataclass
-class EntityCatalog:
-    """Entity to category-set mapping used for category expansion."""
-
-    entries: dict[EntityId, set[str]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def categories_of(self, entity: EntityId) -> set[str]:
-        return self.entries.get(entity, set())
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -226,8 +210,9 @@ def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
     return Corpus(documents=documents), report
 
 
-def parse_entity_catalog(source: LineSource) -> tuple[EntityCatalog, IngestReport]:
-    """Parse line-delimited catalog records, merging repeated entities.
+def parse_entity_catalog(source: LineSource) -> tuple[dict[EntityId, set[str]], IngestReport]:
+    """Parse line-delimited catalog records into a map from entity id to its
+    category set.
 
     A repeated entity id unions its category sets. A missing categories field
     means an empty set. Malformed lines are skipped and tallied.
@@ -245,7 +230,7 @@ def parse_entity_catalog(source: LineSource) -> tuple[EntityCatalog, IngestRepor
             continue
         entries.setdefault(entity, set()).update(raw_categories)
         report.accepted += 1
-    return EntityCatalog(entries=entries), report
+    return entries, report
 
 
 def load_corpus(path: str | Path) -> tuple[Corpus, IngestReport]:
@@ -254,6 +239,6 @@ def load_corpus(path: str | Path) -> tuple[Corpus, IngestReport]:
         return parse_corpus(handle)
 
 
-def load_entity_catalog(path: str | Path) -> tuple[EntityCatalog, IngestReport]:
+def load_entity_catalog(path: str | Path) -> tuple[dict[EntityId, set[str]], IngestReport]:
     with open(path, "rb") as handle:
         return parse_entity_catalog(handle)

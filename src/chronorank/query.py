@@ -14,7 +14,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Mapping
 
-from .corpus import Document, EntityCatalog, EntityId, is_valid_entity_id
+from .corpus import Document, EntityId, is_valid_entity_id
 from .index import CorpusIndex, Granularity, period_of
 
 
@@ -76,7 +76,9 @@ class QueryContext:
     query_entity_docs is the corpus-wide union of documents mentioning any
     query entity, with no date filtering. Every other attribute is derived
     from these four fields on first read and then kept, so a context built by
-    hand scores exactly like one from match_documents.
+    hand scores exactly like one from match_documents. Those cached properties
+    belong to this one context and need no lock; of the state queries share,
+    only CorpusIndex.neighbourhood's cache does.
     """
 
     query: Query
@@ -132,9 +134,9 @@ class QueryContext:
         }
 
 
-def expand_category(catalog: EntityCatalog, category: str) -> set[EntityId]:
+def expand_category(catalog: Mapping[EntityId, set[str]], category: str) -> set[EntityId]:
     """All entities the catalog places in the given category."""
-    return {entity for entity, cats in catalog.entries.items() if category in cats}
+    return {entity for entity, cats in catalog.items() if category in cats}
 
 
 def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
@@ -211,7 +213,7 @@ def parse_granularity(raw: object) -> Granularity:
         raise QueryError(f"invalid granularity: {raw!r} (use day, week, month or year)") from exc
 
 
-def parse_query(args: Mapping[str, object], catalog: EntityCatalog | None = None) -> Query:
+def parse_query(args: Mapping[str, object], catalog: Mapping[EntityId, set[str]] | None = None) -> Query:
     """Build a Query from a flat field mapping, expanding categories.
 
     The mapping uses the query-file field names: entities, categories,
@@ -224,9 +226,8 @@ def parse_query(args: Mapping[str, object], catalog: EntityCatalog | None = None
         raise QueryError(f"unknown query fields: {', '.join(sorted(unknown))}")
     entities = set(_parse_string_list(args.get("entities"), "entities"))
     categories = _parse_string_list(args.get("categories"), "categories")
-    lookup = catalog or EntityCatalog()
     for category in categories:
-        entities |= expand_category(lookup, category)
+        entities |= expand_category(catalog or {}, category)
     raw_semantics = args.get("semantics", Semantics.ALL.value)
     try:
         semantics = Semantics(raw_semantics)

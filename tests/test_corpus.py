@@ -151,7 +151,7 @@ def test_leading_byte_order_mark_is_stripped(tmp_path):
     assert [d.id for d in corpus.documents] == ["a1", "a2"]
     catalog, cat_report = parse_entity_catalog(["\ufeff" + json.dumps({"entity": "ent:a"})])
     assert cat_report.accepted == 1
-    assert "ent:a" in catalog.entries
+    assert "ent:a" in catalog
 
 
 def test_byte_order_mark_after_the_first_line_is_malformed():
@@ -323,15 +323,13 @@ def test_catalog_merges_repeated_entities():
             json.dumps({"entity": "ent:a", "categories": ["cat:2"]}),
         ]
     )
-    assert catalog.entries["ent:a"] == {"cat:1", "cat:2"}
+    assert catalog["ent:a"] == {"cat:1", "cat:2"}
     assert report.accepted == 2
 
 
 def test_catalog_entity_without_categories_gets_empty_set():
     catalog, _ = parse_entity_catalog([json.dumps({"entity": "ent:a"})])
-    assert catalog.entries["ent:a"] == set()
-    assert catalog.categories_of("ent:a") == set()
-    assert catalog.categories_of("ent:missing") == set()
+    assert catalog == {"ent:a": set()}
 
 
 @pytest.mark.parametrize(
