@@ -101,16 +101,15 @@ class IngestReport:
     """Tally of accepted and skipped lines for one ingest pass.
 
     accepted + skipped equals the number of non-blank input lines. reasons
-    holds per-reason skip counts under the SKIP_* keys.
+    holds per-reason skip counts under the SKIP_* keys; skipped is their sum.
     """
 
     accepted: int = 0
-    skipped: int = 0
     reasons: Counter = field(default_factory=Counter)
 
-    def note_skip(self, reason: str) -> None:
-        self.skipped += 1
-        self.reasons[reason] += 1
+    @property
+    def skipped(self) -> int:
+        return sum(self.reasons.values())
 
 
 def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
@@ -124,7 +123,7 @@ def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
-                report.note_skip(SKIP_MALFORMED)
+                report.reasons[SKIP_MALFORMED] += 1
                 continue
         if number == 0:
             line = line.removeprefix("\ufeff")
@@ -134,12 +133,12 @@ def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
         try:
             record = json.loads(line)
         except _UNPARSEABLE:
-            report.note_skip(SKIP_MALFORMED)
+            report.reasons[SKIP_MALFORMED] += 1
             continue
         if isinstance(record, dict):
             yield record
         else:
-            report.note_skip(SKIP_MALFORMED)
+            report.reasons[SKIP_MALFORMED] += 1
 
 
 def _mentions_from_record(raw: object) -> dict[EntityId, int] | None:
@@ -185,11 +184,11 @@ def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
     for record in _records(source, report):
         doc_id = record.get("id")
         if not isinstance(doc_id, str) or not doc_id:
-            report.note_skip(SKIP_MALFORMED)
+            report.reasons[SKIP_MALFORMED] += 1
             continue
         mentions = _mentions_from_record(record.get("mentions"))
         if mentions is None:
-            report.note_skip(SKIP_MALFORMED)
+            report.reasons[SKIP_MALFORMED] += 1
             continue
         raw_day = record.get("date")
         if not isinstance(raw_day, str):
@@ -199,10 +198,10 @@ def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
         else:
             day = days[raw_day] = _parse_day(raw_day)
         if day is None:
-            report.note_skip(SKIP_DATELESS)
+            report.reasons[SKIP_DATELESS] += 1
             continue
         if doc_id in seen:
-            report.note_skip(SKIP_DUPLICATE)
+            report.reasons[SKIP_DUPLICATE] += 1
             continue
         seen.add(doc_id)
         documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
@@ -223,10 +222,10 @@ def parse_entity_catalog(source: LineSource) -> tuple[dict[EntityId, set[str]], 
         entity = record.get("entity")
         raw_categories = record.get("categories", [])
         if not is_valid_entity_id(entity) or not isinstance(raw_categories, list):
-            report.note_skip(SKIP_MALFORMED)
+            report.reasons[SKIP_MALFORMED] += 1
             continue
         if any(not isinstance(c, str) or not c for c in raw_categories):
-            report.note_skip(SKIP_MALFORMED)
+            report.reasons[SKIP_MALFORMED] += 1
             continue
         entries.setdefault(entity, set()).update(raw_categories)
         report.accepted += 1

@@ -16,9 +16,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from operator import attrgetter
+from typing import Callable
 
 from .corpus import Corpus, Document, EntityId
 
@@ -47,14 +48,25 @@ def period_of(day: date, granularity: Granularity) -> str:
     return f"{day.year:04d}"
 
 
-# Most query-entity neighbourhoods one index keeps counts for; the least
+# Most query-entity sets one index keeps neighbourhood counts for; the least
 # recently used is evicted first.
 NEIGHBOURHOOD_MEMO_SIZE = 64
 
 
+def _count_neighbourhood(
+    docs_by_entity: dict[EntityId, tuple[str, ...]],
+    doc_table: dict[str, Document],
+    entities: frozenset[EntityId],
+) -> tuple[frozenset[str], Counter[EntityId]]:
+    """The documents mentioning any of entities, and how many of them mention
+    each entity."""
+    union = frozenset().union(*[docs_by_entity.get(e, ()) for e in entities])
+    return union, Counter(chain.from_iterable(map(attrgetter("mentions"), map(doc_table.__getitem__, union))))
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Lookup structures for one corpus, read-only apart from one cache.
+    """Lookup structures for one corpus.
 
     A posting is the tuple of ids of the documents mentioning one entity,
     ordered by (published_at, id). Date order lets a query cut each posting
@@ -64,37 +76,28 @@ class CorpusIndex:
     queries bucket the documents they read. granularity is the one queries
     must ask for.
 
-    neighbourhood_counts is that cache, kept by neighbourhood() and not part
-    of the index's value: it maps a query-entity union (a frozenset of
-    document ids) to the Counter of entities over those documents, the
-    numerator of relatedness's idf factor. The count depends on the union
-    alone, so queries that share their entities share it across date ranges,
-    semantics, top_k and beta. Threads that rank on one index at the same
-    time must hold a lock around rank, since each call may update the cache.
+    neighbourhood(entities) takes a frozenset of query entities and returns
+    their neighbourhood: the union of their postings, and the Counter of
+    entities over those documents, the numerator of relatedness's idf factor.
+    Both depend on the entity set alone, so queries over the same entities
+    share them across date ranges, semantics, top_k and beta. Each index
+    keeps them for its NEIGHBOURHOOD_MEMO_SIZE most recently used entity
+    sets in its own functools.lru_cache.
     """
 
     granularity: Granularity
     docs_by_entity: dict[EntityId, tuple[str, ...]]
     doc_table: dict[str, Document]
-    neighbourhood_counts: dict[frozenset[str], Counter[EntityId]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
+    neighbourhood: Callable[[frozenset[EntityId]], tuple[frozenset[str], Counter[EntityId]]] = field(
+        init=False, compare=False, repr=False
     )
 
-    def neighbourhood(self, union: frozenset[str]) -> Counter[EntityId]:
-        """How many documents of union mention each entity.
-
-        A cached union becomes the most recently used. Any other is counted
-        from its documents' mentions and cached, evicting the least recently
-        used union once NEIGHBOURHOOD_MEMO_SIZE are held.
-        """
-        memo = self.neighbourhood_counts
-        counts = memo.pop(union, None)
-        if counts is None:
-            counts = Counter(chain.from_iterable(map(attrgetter("mentions"), map(self.doc_table.__getitem__, union))))
-            if len(memo) >= NEIGHBOURHOOD_MEMO_SIZE:
-                del memo[next(iter(memo))]
-        memo[union] = counts
-        return counts
+    def __post_init__(self) -> None:
+        # The cached function holds the postings and the document table, not
+        # the index, so an index nothing else references is freed at once,
+        # cache and all.
+        count = partial(_count_neighbourhood, self.docs_by_entity, self.doc_table)
+        object.__setattr__(self, "neighbourhood", lru_cache(maxsize=NEIGHBOURHOOD_MEMO_SIZE)(count))
 
 
 def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:

@@ -72,19 +72,15 @@ class Query:
 class QueryContext:
     """One query's matched documents, and what scoring derives from them.
 
-    matched is the set of document ids that satisfy the query.
-    query_entity_docs is the corpus-wide union of documents mentioning any
-    query entity, with no date filtering. Every other attribute is derived
-    from these four fields on first read and then kept, so a context built by
-    hand scores exactly like one from match_documents. Those cached properties
-    belong to this one context and need no lock; of the state queries share,
-    only CorpusIndex.neighbourhood's cache does.
+    matched is the set of document ids that satisfy the query. Every other
+    attribute is derived from these three fields on first read and then
+    kept, so a context built by hand scores exactly like one from
+    match_documents.
     """
 
     query: Query
     index: CorpusIndex
     matched: frozenset[str]
-    query_entity_docs: frozenset[str]
 
     @cached_property
     def period_groups(self) -> dict[str, list[Document]]:
@@ -107,15 +103,15 @@ class QueryContext:
         """Relatedness of every non-query entity of the matched documents.
 
         Counts, per period group in ascending key order, the matched
-        documents mentioning each entity, and takes each entity's union
-        documents from index.neighbourhood. The scores then take the float
-        operations of idf and of the ascending per-period sum, in the same
-        order, so they equal a per-entity posting scan bit for bit; one
+        documents mentioning each entity, and takes the query entities'
+        neighbourhood from index.neighbourhood. The scores then take the
+        float operations of idf and of the ascending per-period sum, in the
+        same order, so they equal a per-entity posting scan bit for bit; one
         overall ratio would round differently and could reorder exact ties.
         An entity in no matched document has no entry: its score is 0.0.
         Raises ValueError when no document mentions a query entity.
         """
-        union = self.query_entity_docs
+        union, inside = self.index.neighbourhood(frozenset(self.query.entities))
         if not union:
             raise ValueError("no documents mention any query entity")
         groups = self.period_groups
@@ -125,7 +121,6 @@ class QueryContext:
         for key in sorted(groups):
             for entity, n in Counter(chain.from_iterable(map(mentions, groups[key]))).items():
                 cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
-        inside = self.index.neighbourhood(union)
         entities = self.query.entities
         return {
             entity: (1.0 - inside[entity] / len(union)) * rate
@@ -146,9 +141,8 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
     exact date range by two bisections; the matched documents are the
     intersection (ALL) or union (ANY) of those slices. The date filter thus
     costs two bisections per posting plus the matched slices, however many
-    of the postings' documents lie outside the range. query_entity_docs is
-    the union of the whole postings. Raises ValueError when the index was
-    built at a different granularity than the query asks for.
+    of the postings' documents lie outside the range. Raises ValueError when
+    the index was built at a different granularity than the query asks for.
     """
     if index.granularity is not query.granularity:
         raise ValueError(
@@ -169,12 +163,7 @@ def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
         matched = frozenset(in_range[0]).intersection(*in_range[1:])
     else:
         matched = frozenset().union(*in_range)
-    return QueryContext(
-        query=query,
-        index=index,
-        matched=matched,
-        query_entity_docs=frozenset().union(*postings),
-    )
+    return QueryContext(query=query, index=index, matched=matched)
 
 
 QUERY_FIELDS = frozenset(

@@ -19,10 +19,11 @@ Relatedness is computed for all related entities of a query at once, as
 QueryContext.entity_scores: one pass counts each entity's matched documents
 by period, and its idf factor takes the entity's documents in the
 query-entity union from CorpusIndex.neighbourhood. That count depends on the
-union alone, so the index keeps it per union and later queries over the same
-entities reuse it, whatever their range, semantics, top_k or beta. No
-posting is scanned on the ranking path. The counts are integers, so a score
-does not depend on the order the documents are visited in.
+query's entity set alone, so the index keeps it per entity set and later
+queries over the same entities reuse it, whatever their range, semantics,
+top_k or beta. No posting is scanned on the ranking path. The counts are
+integers, so a score does not depend on the order the documents are visited
+in.
 
 Relativeness has one formula whatever the semantics; semantics select only
 which documents match. A document an ALL query matches names every query

@@ -40,7 +40,7 @@ def idf(ctx: QueryContext, entity: str) -> float:
     """Reference idf, scanned posting by posting: 1 minus the share of the
     query-entity union's documents that mention the entity. The engine takes
     the same count from its neighbourhood memo instead."""
-    union = ctx.query_entity_docs
+    union = frozenset().union(*(ctx.index.docs_by_entity.get(e, ()) for e in ctx.query.entities))
     if not union:
         raise ValueError("no documents mention any query entity")
     inside = sum(1 for doc_id in ctx.index.docs_by_entity.get(entity, ()) if doc_id in union)

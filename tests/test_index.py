@@ -7,11 +7,12 @@ on Monday.
 
 from __future__ import annotations
 
+import weakref
 from datetime import date
 
 import pytest
 
-from chronorank import Granularity, build_index, period_of
+from chronorank import Granularity, Query, Semantics, build_index, period_of, rank
 
 from helpers import make_corpus, make_doc
 
@@ -74,3 +75,19 @@ def test_document_without_mentions_lands_in_doc_table_only():
     index = build_index(make_corpus(doc), Granularity.MONTH)
     assert index.docs_by_entity == {}
     assert index.doc_table == {"a1": doc}
+
+
+def test_an_unreferenced_index_is_freed_with_its_neighbourhood_cache():
+    """The neighbourhood cache holds no reference back to its index, so the
+    last reference to a used index frees it at once, before any garbage
+    collection; a long-running process rebuilding its index holds one."""
+    index = build_index(make_corpus(make_doc("d1", "1990-02-11", {"A": 1, "B": 1})), Granularity.MONTH)
+    query = Query(
+        entities=frozenset({"A"}), semantics=Semantics.ALL, start=date(1990, 2, 1), end=date(1990, 2, 28),
+        granularity=Granularity.MONTH,
+    )
+    assert rank(index, query)
+    assert index.neighbourhood.cache_info().currsize == 1
+    freed = weakref.ref(index)
+    del index
+    assert freed() is None

@@ -7,7 +7,12 @@ is 2/3, the June share 1/3, ent:c scores 0.4 * 1/3 and ent:d 0.8 * 1/3.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+from dataclasses import replace
 from datetime import date
+from itertools import combinations
 
 import pytest
 
@@ -137,7 +142,8 @@ def test_timeliness_rejects_period_outside_range(all_ctx):
 
 def test_idf_on_fixture(all_ctx):
     # union of documents mentioning ent:a or ent:b is {d1..d5}
-    assert all_ctx.query_entity_docs == {"d1", "d2", "d3", "d4", "d5"}
+    union, _ = all_ctx.index.neighbourhood(all_ctx.query.entities)
+    assert union == {"d1", "d2", "d3", "d4", "d5"}
     assert idf(all_ctx, "ent:c") == pytest.approx(0.4, abs=EXACT)  # in 3 of 5
     assert idf(all_ctx, "ent:d") == pytest.approx(0.8, abs=EXACT)  # in 1 of 5
     assert idf(all_ctx, "ent:ghost") == pytest.approx(1.0, abs=EXACT)
@@ -176,15 +182,19 @@ def test_relatedness_is_memoized(all_ctx):
 
 
 def test_neighbourhood_counts_are_reused_across_queries(all_ctx):
+    neighbourhood = all_ctx.index.neighbourhood
     assert "ent:c" in all_ctx.entity_scores
-    counts = all_ctx.index.neighbourhood_counts
-    assert counts[all_ctx.query_entity_docs]["ent:c"] == 3
-    counts[all_ctx.query_entity_docs]["ent:c"] = 0  # poke the memo to prove it is used
-    # ANY over the same entities has the same union {d1..d5} and matches all
+    assert neighbourhood.cache_info()[:2] == (0, 1)  # (hits, misses)
+    union, counts = neighbourhood(all_ctx.query.entities)
+    assert counts["ent:c"] == 3
+    counts["ent:c"] = 0  # poke the memo to prove it is used
+    # ANY over the same entities shares the union {d1..d5} and matches all
     # five: ent:c is in d1, d3 of May's three and d5 of June's two
     any_ctx = match_documents(all_ctx.index, fixture_query(Semantics.ANY))
-    assert any_ctx.query_entity_docs == all_ctx.query_entity_docs
     assert any_ctx.entity_scores["ent:c"] == (1.0 - 0 / 5) * (2 / 5 + 1 / 5)
+    assert neighbourhood.cache_info()[:2] == (2, 1)
+    shared_union, shared_counts = neighbourhood(frozenset({"ent:b", "ent:a"}))
+    assert shared_union is union and shared_counts is counts
 
 
 def test_neighbourhood_counts_keep_the_most_recently_used_unions():
@@ -202,17 +212,77 @@ def test_neighbourhood_counts_keep_the_most_recently_used_unions():
         )
         assert rank(index, q)[0].relatedness_term == 0.0  # X is in every union document
 
+    def held(i: int) -> bool:
+        """Whether E{i}'s neighbourhood was cached; asking caches it."""
+        hits = index.neighbourhood.cache_info().hits
+        union, _ = index.neighbourhood(frozenset({f"E{i:02d}"}))
+        assert union == {f"d{i:02d}"}
+        return index.neighbourhood.cache_info().hits > hits
+
     for i in range(64):
         ask(i)
-    assert len(index.neighbourhood_counts) == 64
-    ask(0)  # E00's union becomes the most recently used; E01's is now the oldest
+    assert index.neighbourhood.cache_info() == (0, 64, 64, 64)  # hits, misses, maxsize, currsize
+    ask(0)  # E00's set becomes the most recently used; E01's is now the oldest
     for i in range(64, 70):
         ask(i)
-    unions = index.neighbourhood_counts
-    assert len(unions) == 64
-    assert frozenset({"d00"}) in unions
-    assert all(frozenset({f"d{i:02d}"}) not in unions for i in range(1, 7))
-    assert frozenset({"d07"}) in unions and frozenset({"d69"}) in unions
+    assert index.neighbourhood.cache_info() == (1, 70, 64, 64)
+    # the held ones first, since each miss evicts the oldest set
+    assert held(0) and held(7) and held(69)
+    assert not any(held(i) for i in range(1, 7))
+
+
+def test_threads_sharing_an_index_rank_as_one_thread_does():
+    """Eight threads rank on one index, switching every microsecond. Each
+    walks the 298 entity sets of up to three of twelve entities, far more
+    than the neighbourhood cache holds, so nearly every query evicts from it
+    while other threads read and evict; every thread still gets exactly the
+    rows one thread gets, and nothing raises."""
+    rng = random.Random(7)
+    pool = [f"E{i:02d}" for i in range(12)]
+    corpus = make_corpus(*(
+        make_doc(f"d{i:03d}", f"1990-01-{1 + i % 28:02d}", {e: rng.randint(1, 3) for e in rng.sample(pool, 3)})
+        for i in range(120)
+    ))
+    sets = [frozenset(c) for size in (1, 2, 3) for c in combinations(pool, size)]
+    queries = [
+        Query(
+            entities=entities, semantics=Semantics.ANY, start=date(1990, 1, 5), end=date(1990, 1, 7),
+            granularity=Granularity.MONTH,
+        )
+        for entities in sets
+    ]
+    serial = build_index(corpus, Granularity.MONTH)
+    expected = [rank(serial, query) for query in queries]
+    assert all(expected)  # every query matches, so every one reads its neighbourhood
+    shared = build_index(corpus, Granularity.MONTH)
+    mismatches: list[tuple[int, int]] = []
+    errors: list[Exception] = []
+
+    def work(thread: int) -> None:
+        try:
+            for step in range(2 * len(queries)):
+                i = (37 * thread + step) % len(queries)
+                if rank(shared, queries[i]) != expected[i]:
+                    mismatches.append((thread, i))
+        except Exception as exc:  # a thread's exception would otherwise go unseen
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert mismatches == []
+    info = shared.neighbourhood.cache_info()
+    assert info.currsize == NEIGHBOURHOOD_MEMO_SIZE
+    assert info.misses > len(sets)  # some sets were evicted and counted again
 
 
 def test_relatedness_rejects_query_entities(all_ctx):
@@ -239,7 +309,8 @@ def test_relatedness_is_zero_for_an_entity_mentioned_only_outside_the_matched_se
 
 @pytest.mark.parametrize("matched", [frozenset(), frozenset({"d1"})])
 def test_relatedness_rejects_an_empty_query_entity_union(all_ctx, matched):
-    ctx = QueryContext(query=all_ctx.query, index=all_ctx.index, matched=matched, query_entity_docs=frozenset())
+    ghosts = replace(all_ctx.query, entities=frozenset({"ent:ghost", "ent:phantom"}))
+    ctx = QueryContext(query=ghosts, index=all_ctx.index, matched=matched)
     with pytest.raises(ValueError, match="no documents mention any query entity"):
         ctx.entity_scores
 
@@ -263,12 +334,14 @@ def test_relatedness_term_is_zero_when_no_extra_entities(all_ctx):
 
 
 def test_rank_order_on_fixture_all(six_doc_corpus):
-    index = build_index(six_doc_corpus, Granularity.MONTH)
-    rows = rank(index, fixture_query(Semantics.ALL))
-    assert [r.doc_id for r in rows] == ["d2", "d1", "d4"]
-    assert rows[0].total == pytest.approx(2 / 3, abs=EXACT)
-    assert rows[1].total == pytest.approx(0.5 + 1 / 45, abs=EXACT)
-    assert rows[2].total == pytest.approx(0.25 + 2 / 45, abs=EXACT)
+    """Query entities given as a plain set rank as a frozenset of them does."""
+    for entities in (frozenset({"ent:a", "ent:b"}), {"ent:a", "ent:b"}):
+        index = build_index(six_doc_corpus, Granularity.MONTH)
+        rows = rank(index, replace(fixture_query(Semantics.ALL), entities=entities))
+        assert [r.doc_id for r in rows] == ["d2", "d1", "d4"]
+        assert rows[0].total == pytest.approx(2 / 3, abs=EXACT)
+        assert rows[1].total == pytest.approx(0.5 + 1 / 45, abs=EXACT)
+        assert rows[2].total == pytest.approx(0.25 + 2 / 45, abs=EXACT)
 
 
 def test_rank_order_on_fixture_any(six_doc_corpus):
