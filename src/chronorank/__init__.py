@@ -5,14 +5,13 @@ them into calendar periods, and ranks the documents matching an entity query
 by a blend of relativeness, timeliness, and related-entity co-occurrence.
 
 The package exports what the README's Library section lists; everything else
-is importable from its module (chronorank.corpus, .index, .query, .ranking).
+is importable from its module (chronorank.corpus, .query, .ranking).
 """
 
 from .corpus import load_corpus, load_entity_catalog, parse_corpus, parse_entity_catalog
-from .index import Granularity, build_index, period_of
 from .oracle import oracle_rank
-from .query import Query, QueryContext, QueryError, Semantics, match_documents, parse_query
-from .ranking import ScoreBreakdown, final_score, rank
+from .query import Granularity, Query, QueryError, Semantics, parse_query, period_of
+from .ranking import QueryContext, ScoreBreakdown, build_index, final_score, match_documents, rank
 
 __version__ = "0.1.0"
 

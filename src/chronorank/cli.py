@@ -15,9 +15,8 @@ from collections import Counter
 from typing import IO
 
 from .corpus import IngestReport, load_corpus, load_entity_catalog
-from .index import build_index, period_of
-from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query
-from .ranking import RankedResult, rank
+from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query, period_of
+from .ranking import RankedResult, build_index, rank
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1

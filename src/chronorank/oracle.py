@@ -1,7 +1,8 @@
 """Brute-force reference ranking used to cross-check the indexed engine.
 
-Repo rule: this module must not import scoring code from chronorank.ranking.
-It may share data types (ScoreBreakdown, Query, the period helpers) but every
+Repo rule: this module must not import engine code. It may share exactly
+these names: Corpus, Document and EntityId from .corpus; Query, Semantics and
+period_of from .query; RankedResult and ScoreBreakdown from .ranking. Every
 quantity, matching, per-period counts, inverse frequencies, co-occurrence
 rates, is re-derived here by direct scans over the raw document list. No
 inverted indexes are built. Quadratic cost in corpus size is fine; this path
@@ -16,8 +17,7 @@ from __future__ import annotations
 from datetime import date
 
 from .corpus import Corpus, Document, EntityId
-from .index import period_of
-from .query import Query, Semantics
+from .query import Query, Semantics, period_of
 from .ranking import RankedResult, ScoreBreakdown
 
 # The co-occurrence rate has an equivalent formulation that routes through the
@@ -90,8 +90,8 @@ def oracle_rank(corpus: Corpus, query: Query) -> RankedResult:
     # A period holding no matched document would add exactly 0.0.
     period_keys = sorted({pk for pk, _ in matched})
 
-    # One evaluation per distinct entity per query; the engine memoizes the
-    # same way, and the score is a pure function of corpus and query.
+    # One evaluation per distinct entity per query: the score is a pure
+    # function of corpus and query.
     entity_scores: dict[EntityId, float] = {}
 
     rows: list[ScoreBreakdown] = []

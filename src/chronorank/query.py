@@ -1,21 +1,50 @@
-"""Query model, category expansion, and document matching."""
+"""What a query is: calendar periods, the query model, and its parsing.
+
+Documents are bucketed into day, ISO week, month, or year periods. A period
+is its key string, whose lexicographic order matches chronological order
+within one granularity:
+
+    day   1990-02-11
+    week  1990-W07   (ISO-8601 week numbering, weeks start on Monday)
+    month 1990-02
+    year  1990
+"""
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from functools import lru_cache
 from typing import Mapping
 
-from .corpus import Document, EntityId, is_valid_entity_id
-from .index import CorpusIndex, Granularity, period_of
+from .corpus import EntityId, is_valid_entity_id
+
+
+class Granularity(Enum):
+    DAY = "day"
+    WEEK = "week"
+    MONTH = "month"
+    YEAR = "year"
+
+    # Enum's own __hash__ is written in Python and runs on every period_of
+    # cache lookup; members are singletons, so identity hashing is equivalent.
+    __hash__ = object.__hash__
+
+
+@lru_cache(maxsize=None)
+def period_of(day: date, granularity: Granularity) -> str:
+    """The key of the period holding a calendar day at the given granularity."""
+    if granularity is Granularity.DAY:
+        return day.isoformat()
+    if granularity is Granularity.WEEK:
+        iso_year, iso_week, _ = day.isocalendar()
+        return f"{iso_year:04d}-W{iso_week:02d}"
+    if granularity is Granularity.MONTH:
+        return f"{day.year:04d}-{day.month:02d}"
+    return f"{day.year:04d}"
 
 
 class QueryError(ValueError):
@@ -68,102 +97,9 @@ class Query:
             raise QueryError(f"invalid top_k: {self.top_k!r} (must be a positive integer)")
 
 
-@dataclass(frozen=True)
-class QueryContext:
-    """One query's matched documents, and what scoring derives from them.
-
-    matched is the set of document ids that satisfy the query. Every other
-    attribute is derived from these three fields on first read and then
-    kept, so a context built by hand scores exactly like one from
-    match_documents.
-    """
-
-    query: Query
-    index: CorpusIndex
-    matched: frozenset[str]
-
-    @cached_property
-    def period_groups(self) -> dict[str, list[Document]]:
-        """The matched documents, bucketed by the key of their period."""
-        granularity = self.query.granularity
-        groups: dict[str, list[Document]] = defaultdict(list)
-        for doc in map(self.index.doc_table.__getitem__, self.matched):
-            groups[period_of(doc.published_at, granularity)].append(doc)
-        return dict(groups)
-
-    @cached_property
-    def period_scores(self) -> dict[str, float]:
-        """Each period's share of the matched documents, keyed by the periods
-        holding one; every other period's share is 0."""
-        total = len(self.matched)
-        return {key: len(docs) / total for key, docs in self.period_groups.items()}
-
-    @cached_property
-    def entity_scores(self) -> dict[EntityId, float]:
-        """Relatedness of every non-query entity of the matched documents.
-
-        Counts, per period group in ascending key order, the matched
-        documents mentioning each entity, and takes the query entities'
-        neighbourhood from index.neighbourhood. The scores then take the
-        float operations of idf and of the ascending per-period sum, in the
-        same order, so they equal a per-entity posting scan bit for bit; one
-        overall ratio would round differently and could reorder exact ties.
-        An entity in no matched document has no entry: its score is 0.0.
-        Raises ValueError when no document mentions a query entity.
-        """
-        union, inside = self.index.neighbourhood(frozenset(self.query.entities))
-        if not union:
-            raise ValueError("no documents mention any query entity")
-        groups = self.period_groups
-        total = len(self.matched)
-        mentions = attrgetter("mentions")
-        cooccurrence: dict[EntityId, float] = {}
-        for key in sorted(groups):
-            for entity, n in Counter(chain.from_iterable(map(mentions, groups[key]))).items():
-                cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
-        entities = self.query.entities
-        return {
-            entity: (1.0 - inside[entity] / len(union)) * rate
-            for entity, rate in cooccurrence.items()
-            if entity not in entities
-        }
-
-
 def expand_category(catalog: Mapping[EntityId, set[str]], category: str) -> set[EntityId]:
     """All entities the catalog places in the given category."""
     return {entity for entity, cats in catalog.items() if category in cats}
-
-
-def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
-    """Find the documents satisfying a query.
-
-    Postings are in date order, so each query entity's posting is cut to the
-    exact date range by two bisections; the matched documents are the
-    intersection (ALL) or union (ANY) of those slices. The date filter thus
-    costs two bisections per posting plus the matched slices, however many
-    of the postings' documents lie outside the range. Raises ValueError when
-    the index was built at a different granularity than the query asks for.
-    """
-    if index.granularity is not query.granularity:
-        raise ValueError(
-            f"index granularity {index.granularity.value} does not match "
-            f"query granularity {query.granularity.value}"
-        )
-    doc_table = index.doc_table
-
-    def day(doc_id: str) -> date:
-        return doc_table[doc_id].published_at
-
-    postings = [index.docs_by_entity.get(e, ()) for e in query.entities]
-    in_range = [
-        posting[bisect_left(posting, query.start, key=day) : bisect_right(posting, query.end, key=day)]
-        for posting in postings
-    ]
-    if query.semantics is Semantics.ALL:
-        matched = frozenset(in_range[0]).intersection(*in_range[1:])
-    else:
-        matched = frozenset().union(*in_range)
-    return QueryContext(query=query, index=index, matched=matched)
 
 
 QUERY_FIELDS = frozenset(
@@ -207,16 +143,19 @@ def parse_query(args: Mapping[str, object], catalog: Mapping[EntityId, set[str]]
 
     The mapping uses the query-file field names: entities, categories,
     semantics, from, to, granularity, beta, top_k. Explicit entities and
-    category expansions are unioned before semantics apply. Defaults:
-    semantics all, granularity month, beta 0.5, no top_k cap.
+    category expansions are unioned before semantics apply; categories
+    without a catalog are a QueryError. Defaults: semantics all, granularity
+    month, beta 0.5, no top_k cap.
     """
     unknown = set(args) - QUERY_FIELDS
     if unknown:
         raise QueryError(f"unknown query fields: {', '.join(sorted(unknown))}")
     entities = set(_parse_string_list(args.get("entities"), "entities"))
     categories = _parse_string_list(args.get("categories"), "categories")
+    if categories and catalog is None:
+        raise QueryError("categories need an entity catalog to expand them")
     for category in categories:
-        entities |= expand_category(catalog or {}, category)
+        entities |= expand_category(catalog, category)
     raw_semantics = args.get("semantics", Semantics.ALL.value)
     try:
         semantics = Semantics(raw_semantics)

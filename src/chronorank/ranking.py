@@ -1,9 +1,10 @@
-"""Scoring and ranking of matched documents.
+"""How a query is answered: the index, matching, scoring and ranking.
 
 A document's total score combines three signals:
 
   relativeness   share of the document's mention mass that points at query
                  entities, times the share of query entities it names
+                 (relativeness)
   timeliness     share of all matched documents published in the document's
                  period (QueryContext.period_scores)
   relatedness    per non-query entity, an idf-damped rate of co-occurrence
@@ -13,55 +14,212 @@ A document's total score combines three signals:
     total = timeliness * relativeness + beta * mean(relatedness over E_d)
 
 where the mean divides by the full entity count of the document and sums only
-over its non-query entities.
+over its non-query entities. An entity's relatedness is (1 - u / U) times
+the sum, over the periods holding matched documents, of m_p / M: U is the
+number of documents mentioning any query entity, u how many of those mention
+the entity, m_p how many matched documents of period p mention it, and M the
+number of matched documents. Semantics select only which documents match.
 
-Relatedness is computed for all related entities of a query at once, as
-QueryContext.entity_scores: one pass counts each entity's matched documents
-by period, and its idf factor takes the entity's documents in the
-query-entity union from CorpusIndex.neighbourhood. That count depends on the
-query's entity set alone, so the index keeps it per entity set and later
-queries over the same entities reuse it, whatever their range, semantics,
-top_k or beta. No posting is scanned on the ranking path. The counts are
-integers, so a score does not depend on the order the documents are visited
-in.
+Cost of one rank call:
+  match_documents  cuts each query entity's posting, kept in date order, to
+                   the date range by two bisections, and intersects (ALL) or
+                   unions (ANY) the slices; no date is tested per document.
+  QueryContext     buckets the matched documents by period once
+                   (period_groups) and derives from the groups each period's
+                   share and, in one pass, every related entity's score.
+  neighbourhood    the idf factor's union and entity counts depend on the
+                   query's entity set alone, so each index keeps them for
+                   its NEIGHBOURHOOD_MEMO_SIZE most recently used entity
+                   sets. A miss counts the mentions of every union document
+                   once; later queries over the same entities reuse the
+                   count whatever their range, semantics, top_k or beta.
+  _score_rows      runs the row formula one loop per period group, reading
+                   the group's timeliness once. Relativeness walks the
+                   document's mentions and probes the query set, so a query
+                   naming thousands of entities (an expanded category) costs
+                   no more per document than one naming two.
+  rank             sorts the rows, or selects top_k of them with a heap, and
+                   builds a ScoreBreakdown only for the rows it returns.
+final_score runs the same row formula on one document, so the engine has one
+copy of it; the oracle keeps the one independent copy.
 
-Relativeness has one formula whatever the semantics; semantics select only
-which documents match. A document an ALL query matches names every query
-entity, so its coverage factor is exactly 1.0 and leaves the share's bits
-alone. Relativeness intersects the query entities with the document's
-mentions, which walks the mentions and probes the query set, so a query
-naming thousands of entities (an expanded category) costs no more per
-document than one naming two.
-
-Cost model of one rank call: match_documents cuts the postings to the date
-range; the context buckets the matched documents by period once
-(QueryContext.period_groups) and derives from those groups each period's
-share and, in one related pass, every related entity's score; the row
-formula (_score_rows) then runs one loop per period group, reading the
-group's timeliness once; and a ScoreBreakdown is built only for the rows
-returned. final_score runs the same row formula on its one document, so the
-engine has one copy of it; the oracle keeps the one independent copy.
-
-Evaluation order is fixed so results are bit-for-bit reproducible: related
-entities are summed in ascending entity-id order, period contributions in
-ascending period order, and the division happens after the sum. Ties in the
-final ordering break by ascending document id. Float sums are written as
+Evaluation order is fixed so results are bit-for-bit reproducible. Postings
+are in (published_at, id) order. Co-occurrence is summed per period in
+ascending period order, each period adding its own m_p / M, and only then
+multiplied by the idf factor, so a score equals a per-entity posting scan bit
+for bit; one overall ratio would round differently and could reorder exact
+ties. A row's related entities are summed in ascending entity-id order, and
+the division by the entity count happens after the sum. The counts are
+integers, so no score depends on the order documents are visited in. Ties in
+the final ordering break by ascending document id. Float sums are written as
 left-to-right additions, never with builtin sum(): from Python 3.12 sum()
 compensates float rounding, so the same sum would give other bits there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
+from datetime import date
+from functools import cached_property, lru_cache, partial, reduce
 from heapq import nsmallest
-from itertools import repeat
-from operator import add
-from typing import Iterable
+from itertools import chain, repeat
+from operator import add, attrgetter
+from typing import Callable, Iterable
 
-from .corpus import Document, EntityId
-from .index import CorpusIndex, period_of
-from .query import Query, QueryContext, match_documents
+from .corpus import Corpus, Document, EntityId
+from .query import Granularity, Query, Semantics, period_of
+
+
+# Most query-entity sets one index keeps neighbourhood counts for; the least
+# recently used is evicted first.
+NEIGHBOURHOOD_MEMO_SIZE = 64
+
+
+def _count_neighbourhood(
+    docs_by_entity: dict[EntityId, tuple[str, ...]],
+    doc_table: dict[str, Document],
+    entities: frozenset[EntityId],
+) -> tuple[frozenset[str], Counter[EntityId]]:
+    """The documents mentioning any of entities, and how many of them mention
+    each entity."""
+    union = frozenset().union(*[docs_by_entity.get(e, ()) for e in entities])
+    return union, Counter(chain.from_iterable(map(attrgetter("mentions"), map(doc_table.__getitem__, union))))
+
+
+@dataclass(frozen=True)
+class CorpusIndex:
+    """Lookup structures for one corpus.
+
+    A posting is the tuple of ids of the documents mentioning one entity,
+    ordered by (published_at, id); the id breaks ties between documents of
+    one day, so the order is total. No period is stored. granularity is the
+    one queries must ask for.
+
+    neighbourhood(entities) takes a frozenset of query entities and returns
+    the union of their postings and the Counter of entities over those
+    documents. Each index caches it for its NEIGHBOURHOOD_MEMO_SIZE most
+    recently used entity sets.
+    """
+
+    granularity: Granularity
+    docs_by_entity: dict[EntityId, tuple[str, ...]]
+    doc_table: dict[str, Document]
+    neighbourhood: Callable[[frozenset[EntityId]], tuple[frozenset[str], Counter[EntityId]]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        # The cached function holds the postings and the document table, not
+        # the index, so an index nothing else references is freed at once,
+        # cache and all.
+        count = partial(_count_neighbourhood, self.docs_by_entity, self.doc_table)
+        object.__setattr__(self, "neighbourhood", lru_cache(maxsize=NEIGHBOURHOOD_MEMO_SIZE)(count))
+
+
+def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:
+    """Build the entity postings and the document table for a corpus.
+
+    Documents with no mentions appear in doc_table but in no entity posting.
+    Walking the documents in (published_at, id) order fills every posting in
+    that order.
+    """
+    # Two stable sorts on single keys run about twice as fast as one sort
+    # on a (date, id) tuple key, and give the same order.
+    by_id = sorted(corpus.documents, key=attrgetter("id"))
+    by_entity: dict[EntityId, list[str]] = defaultdict(list)
+    for doc in sorted(by_id, key=attrgetter("published_at")):
+        for entity in doc.mentions:
+            by_entity[entity].append(doc.id)
+    return CorpusIndex(
+        granularity=granularity,
+        docs_by_entity={e: tuple(ids) for e, ids in by_entity.items()},
+        doc_table={doc.id: doc for doc in corpus.documents},
+    )
+
+
+@dataclass(frozen=True)
+class QueryContext:
+    """One query's matched documents, and the scores derived from them.
+
+    matched is the set of document ids that satisfy the query. Every other
+    attribute is derived from the three fields on first read and then kept,
+    so a context built by hand scores exactly like one from match_documents.
+    """
+
+    query: Query
+    index: CorpusIndex
+    matched: frozenset[str]
+
+    @cached_property
+    def period_groups(self) -> dict[str, list[Document]]:
+        """The matched documents, bucketed by the key of their period."""
+        granularity = self.query.granularity
+        groups: dict[str, list[Document]] = defaultdict(list)
+        for doc in map(self.index.doc_table.__getitem__, self.matched):
+            groups[period_of(doc.published_at, granularity)].append(doc)
+        return dict(groups)
+
+    @cached_property
+    def period_scores(self) -> dict[str, float]:
+        """Each period's share of the matched documents, keyed by the periods
+        holding one; every other period's share is 0."""
+        total = len(self.matched)
+        return {key: len(docs) / total for key, docs in self.period_groups.items()}
+
+    @cached_property
+    def entity_scores(self) -> dict[EntityId, float]:
+        """Relatedness of every non-query entity of the matched documents.
+
+        An entity in no matched document has no entry: its score is 0.0.
+        Raises ValueError when no document mentions a query entity.
+        """
+        union, inside = self.index.neighbourhood(frozenset(self.query.entities))
+        if not union:
+            raise ValueError("no documents mention any query entity")
+        groups = self.period_groups
+        total = len(self.matched)
+        mentions = attrgetter("mentions")
+        cooccurrence: dict[EntityId, float] = {}
+        for key in sorted(groups):
+            for entity, n in Counter(chain.from_iterable(map(mentions, groups[key]))).items():
+                cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
+        entities = self.query.entities
+        return {
+            entity: (1.0 - inside[entity] / len(union)) * rate
+            for entity, rate in cooccurrence.items()
+            if entity not in entities
+        }
+
+
+def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
+    """The context of the documents in the query's date range that mention
+    every (ALL) or any (ANY) query entity.
+
+    Raises ValueError when the index was built at a different granularity
+    than the query asks for.
+    """
+    if index.granularity is not query.granularity:
+        raise ValueError(
+            f"index granularity {index.granularity.value} does not match "
+            f"query granularity {query.granularity.value}"
+        )
+    doc_table = index.doc_table
+
+    def day(doc_id: str) -> date:
+        return doc_table[doc_id].published_at
+
+    postings = [index.docs_by_entity.get(e, ()) for e in query.entities]
+    in_range = [
+        posting[bisect_left(posting, query.start, key=day) : bisect_right(posting, query.end, key=day)]
+        for posting in postings
+    ]
+    if query.semantics is Semantics.ALL:
+        matched = frozenset(in_range[0]).intersection(*in_range[1:])
+    else:
+        matched = frozenset().union(*in_range)
+    return QueryContext(query=query, index=index, matched=matched)
 
 
 @dataclass(frozen=True)

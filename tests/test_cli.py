@@ -196,6 +196,7 @@ def test_rank_empty_result_is_success(run_cli, fixture_corpus_path):
         ["--top", "0"],
         ["--format", "xml"],
         ["--from", "1984-07-01"],  # lands after --to, so the range is reversed
+        ["--category", "cat:focus"],  # no --catalog to expand it
     ],
 )
 def test_rank_bad_flag_values_exit_one(run_cli, fixture_corpus_path, extra):

@@ -111,25 +111,20 @@ def test_oracle_matches_engine_on_small_random_corpora():
 
 
 def test_oracle_module_shares_no_scoring_code():
-    """Repo rule: the reference may import data types and calendar helpers
-    from the engine, never scoring functions."""
-    source = inspect.getsource(chronorank.oracle)
-    tree = ast.parse(source)
-    banned = {
-        "relativeness", "relativeness_all", "relativeness_any", "timeliness", "idf",
-        "relatedness", "final_score", "rank", "match_documents",
+    """Repo rule: the reference imports data types and the calendar helper
+    from the package, and nothing else."""
+    tree = ast.parse(inspect.getsource(chronorank.oracle))
+    allowed = {
+        "corpus": {"Corpus", "Document", "EntityId"},
+        "query": {"Query", "Semantics", "period_of"},
+        "ranking": {"RankedResult", "ScoreBreakdown"},
     }
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert not (imported & banned), f"oracle imports scoring code: {imported & banned}"
-    plain_imports = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-    ]
-    assert not any(name.endswith("ranking") for name in plain_imports)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = {alias.name for alias in node.names}
+            assert node.level == 1 and node.module in allowed, f"oracle imports from {'.' * node.level}{node.module}"
+            assert names <= allowed[node.module], f"oracle imports {sorted(names - allowed[node.module])} from .{node.module}"
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("chronorank"), f"oracle imports from {node.module}"
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("chronorank") for alias in node.names)

@@ -69,6 +69,11 @@ def test_parse_query_rejects_unmatched_category():
         parse_query(args, catalog={})
 
 
+def test_parse_query_rejects_categories_without_a_catalog():
+    with pytest.raises(QueryError, match="catalog"):
+        parse_query(dict(BASE_ARGS, categories=["cat:narrow"]))
+
+
 def test_parse_query_rejects_reversed_range():
     with pytest.raises(QueryError, match="invalid range"):
         parse_query(dict(BASE_ARGS, **{"from": "1990-04-01"}))

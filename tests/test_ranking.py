@@ -27,8 +27,7 @@ from chronorank import (
     rank,
 )
 
-from chronorank.index import NEIGHBOURHOOD_MEMO_SIZE
-from chronorank.ranking import relativeness
+from chronorank.ranking import NEIGHBOURHOOD_MEMO_SIZE, relativeness
 from helpers import idf, make_corpus, make_doc
 
 EXACT = 1e-12
