@@ -58,12 +58,14 @@ def _parse_day(raw: str) -> date | None:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One dated, entity-annotated document.
 
     mentions maps entity id to its mention count (>= 1). The map is re-keyed
     in sorted order on construction so iteration is deterministic everywhere.
+    Slotted, with no per-instance __dict__, because a corpus holds one per
+    accepted line.
     """
 
     id: str
@@ -141,11 +143,16 @@ def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
             report.reasons[SKIP_MALFORMED] += 1
 
 
-def _mentions_from_record(raw: object) -> dict[EntityId, int] | None:
+def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[EntityId, int] | None:
     """Build a mention map from the record's mentions array.
 
     Returns None when the array is malformed, including when an entity id
     repeats: one document carries one count per entity.
+
+    known maps each entity id already validated to the one string that stands
+    for it. A hit is keyed by that string; a miss is validated once and, if
+    valid, added. So the check runs once per distinct id, and every map shares
+    one string per id instead of the new one json.loads makes per mention.
     """
     if not isinstance(raw, list):
         return None
@@ -155,8 +162,14 @@ def _mentions_from_record(raw: object) -> dict[EntityId, int] | None:
             return None
         entity = item.get("entity")
         count = item.get("count")
-        if not is_valid_entity_id(entity):
-            return None
+        # A non-string id may be unhashable (a list or an object), so it is
+        # never looked up; the validity check rejects it.
+        shared = known.get(entity) if isinstance(entity, str) else None
+        if shared is None:
+            if not is_valid_entity_id(entity):
+                return None
+            shared = known[entity] = entity
+        entity = shared
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             return None
         if entity in mentions:
@@ -181,12 +194,13 @@ def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
     # Corpora repeat dates, so each distinct date string is parsed once and
     # its documents share one date object.
     days: dict[str, date | None] = {}
+    known: dict[EntityId, EntityId] = {}
     for record in _records(source, report):
         doc_id = record.get("id")
         if not isinstance(doc_id, str) or not doc_id:
             report.reasons[SKIP_MALFORMED] += 1
             continue
-        mentions = _mentions_from_record(record.get("mentions"))
+        mentions = _mentions_from_record(record.get("mentions"), known)
         if mentions is None:
             report.reasons[SKIP_MALFORMED] += 1
             continue

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 
 import chronorank
 from chronorank import Granularity, Query, QueryContext, Semantics
-from chronorank.corpus import Corpus, Document
+from chronorank.corpus import (
+    SKIP_DATELESS,
+    SKIP_DUPLICATE,
+    SKIP_MALFORMED,
+    Corpus,
+    Document,
+    IngestReport,
+    _parse_day,
+    _records,
+    is_valid_entity_id,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -45,6 +56,38 @@ def idf(ctx: QueryContext, entity: str) -> float:
         raise ValueError("no documents mention any query entity")
     inside = sum(1 for doc_id in ctx.index.docs_by_entity.get(entity, ()) if doc_id in union)
     return 1.0 - inside / len(union)
+
+
+def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
+    """Plain reference for parse_corpus's record checks: every mention's id
+    goes through is_valid_entity_id, and nothing is shared between records.
+    The line layer (_records) and the date parser are the engine's own."""
+    report = IngestReport()
+    documents: list[Document] = []
+    for record in _records(lines, report):
+        doc_id, raw, raw_day = record.get("id"), record.get("mentions"), record.get("date")
+        if not isinstance(doc_id, str) or not doc_id or not _reference_mentions_ok(raw):
+            report.reasons[SKIP_MALFORMED] += 1
+        elif not isinstance(raw_day, str) or _parse_day(raw_day) is None:
+            report.reasons[SKIP_DATELESS] += 1
+        elif any(doc.id == doc_id for doc in documents):
+            report.reasons[SKIP_DUPLICATE] += 1
+        else:
+            mentions = {item["entity"]: item["count"] for item in raw}
+            documents.append(Document(id=doc_id, published_at=_parse_day(raw_day), mentions=mentions))
+    return documents, report.reasons
+
+
+def _reference_mentions_ok(raw: object) -> bool:
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        return False
+    entities = [item.get("entity") for item in raw]
+    return (
+        all(is_valid_entity_id(entity) for entity in entities)
+        and len(set(entities)) == len(entities)
+        # JSON gives plain ints; a bool is an int subclass and is rejected.
+        and all(type(item.get("count")) is int and item["count"] >= 1 for item in raw)
+    )
 
 
 def make_doc(doc_id: str, day: str, mentions: dict[str, int]) -> Document:

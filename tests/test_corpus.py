@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronorank import load_corpus, parse_corpus, parse_entity_catalog
+from chronorank import Granularity, build_index, load_corpus, parse_corpus, parse_entity_catalog
 from chronorank.corpus import SKIP_DATELESS, SKIP_DUPLICATE, SKIP_MALFORMED, Corpus, is_valid_entity_id
 
-from helpers import make_doc
+from helpers import make_doc, reference_parse_corpus
 
 
 def record(doc_id, day, mentions):
@@ -217,6 +217,39 @@ def test_fuzzed_lines_never_abort_ingest(lines):
         assert sum(report.reasons.values()) == report.skipped
 
 
+# A small pool of ids and counts, so that an id already validated comes back
+# with a bad count, as a repeat, or next to a non-dict item.
+pool_mention = st.fixed_dictionaries(
+    {
+        "entity": st.sampled_from(["ent:a", "ent:b", "ent b", ""]),
+        "count": st.sampled_from([1, 2, True, 2.0, 0, "1"]),
+    }
+)
+pool_records = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["a1", "a2", "a3", ""]),
+        "date": st.sampled_from(["1990-02-11", "1990-02-11T09:00", "1990-02-30"]),
+        "mentions": st.lists(pool_mention, max_size=3)
+        | st.lists(pool_mention, max_size=2).map(lambda items: [*items, None]),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(pool_records.map(json.dumps) | near_records.map(json.dumps), max_size=6))
+def test_ingest_matches_the_reference_parser(lines):
+    # Every line comes twice: its ids are new to parse_corpus the first time
+    # and already validated the second.
+    lines = lines + lines
+    corpus, report = parse_corpus(lines)
+    documents, reasons = reference_parse_corpus(lines)
+    assert [(d.id, d.published_at, list(d.mentions.items())) for d in corpus.documents] == [
+        (d.id, d.published_at, list(d.mentions.items())) for d in documents
+    ]
+    assert report.reasons == reasons
+    assert report.accepted == len(documents)
+
+
 def test_empty_mentions_doc_is_accepted():
     corpus, report = parse_corpus([json.dumps({"id": "a1", "date": "1990-02-11", "mentions": []})])
     assert report.accepted == 1
@@ -274,6 +307,23 @@ def test_entity_ids_compare_exactly_without_normalization():
 def test_mentions_are_rekeyed_in_sorted_order():
     doc = make_doc("a1", "1990-02-11", {"ent:z": 1, "ent:a": 2})
     assert list(doc.mentions) == ["ent:a", "ent:z"]
+
+
+def test_equal_entity_ids_share_one_string():
+    lines = [
+        record("a1", "1990-02-11", [("ent:x", 1), ("ent:y", 2)]),
+        record("a2", "1990-02-12", [("ent:y", 1), ("ent:x", 3)]),
+        record("a3", "1990-02-13", [("ent:z", 1), ("ent:y", 1)]),
+    ]
+    corpus, _ = parse_corpus(lines)
+    shared = {id(e) for d in corpus.documents for e in d.mentions}
+    assert len(shared) == len(corpus.entity_universe) == 3
+    index = build_index(corpus, Granularity.MONTH)
+    assert {id(e) for e in index.docs_by_entity} == shared
+
+
+def test_document_has_no_instance_dict():
+    assert not hasattr(make_doc("a1", "1990-02-11", {"ent:x": 1}), "__dict__")
 
 
 def test_duplicate_ids_rejected_on_direct_construction():
