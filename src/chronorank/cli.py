@@ -80,7 +80,7 @@ def _require_documents(report: IngestReport) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    _, report = load_corpus(args.corpus)
+    _, report = load_corpus(args.corpus, mentioning=frozenset())  # the tallies alone
     if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
         catalog, cat_report = load_entity_catalog(args.catalog)
     _print_report(report, sys.stdout)
@@ -128,7 +128,8 @@ def cmd_rank(args: argparse.Namespace) -> None:
         fields = _load_query_file(args.query_file)
     catalog = load_entity_catalog(args.catalog)[0] if args.catalog is not None else None
     query = parse_query(fields, catalog=catalog)  # before the corpus, so a bad query fails fast
-    corpus, report = load_corpus(args.corpus)
+    # rank reads only documents that name a query entity, so ingest keeps no other.
+    corpus, report = load_corpus(args.corpus, mentioning=query.entities)
     _require_documents(report)
     _emit(rank(build_index(corpus, query.granularity), query), args.fmt, args.explain, sys.stdout)
 

@@ -11,6 +11,11 @@ A catalog file maps entities to category ids, one JSON object per line:
 
 Ingest never aborts on bad input. Broken lines are skipped and tallied by
 reason so callers can report exactly what was dropped.
+
+A caller that needs only the documents naming some entities, as a query
+does, passes them as mentioning=. Every line is still decoded, checked and
+tallied, and its id still takes part in the duplicate rule; an accepted
+document that names none of them is counted and not kept.
 """
 
 from __future__ import annotations
@@ -178,13 +183,19 @@ def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[
     return mentions
 
 
-def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
+def parse_corpus(
+    source: LineSource, *, mentioning: frozenset[EntityId] | None = None
+) -> tuple[Corpus, IngestReport]:
     """Parse line-delimited document records into a Corpus.
 
     Blank lines are ignored. A line is skipped and tallied rather than raised:
     "malformed" for unparseable JSON or a bad id/mentions field, "dateless" for a
     missing or unparseable date, "duplicate" for a repeated document id (the
     first record wins). Time-of-day suffixes on dates are truncated.
+
+    With mentioning set, an accepted record that names none of its entities
+    is tallied accepted, and its id still shadows later records, but no
+    Document is built for it. The report does not depend on mentioning.
 
     Returns the corpus together with the ingest report.
     """
@@ -218,8 +229,9 @@ def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
             report.reasons[SKIP_DUPLICATE] += 1
             continue
         seen.add(doc_id)
-        documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
         report.accepted += 1
+        if mentioning is None or not mentioning.isdisjoint(mentions):
+            documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
     return Corpus(documents=documents), report
 
 
@@ -246,10 +258,13 @@ def parse_entity_catalog(source: LineSource) -> tuple[dict[EntityId, set[str]], 
     return entries, report
 
 
-def load_corpus(path: str | Path) -> tuple[Corpus, IngestReport]:
-    """Read a corpus file from disk. I/O errors propagate to the caller."""
+def load_corpus(
+    path: str | Path, *, mentioning: frozenset[EntityId] | None = None
+) -> tuple[Corpus, IngestReport]:
+    """Read a corpus file from disk, as parse_corpus does. I/O errors
+    propagate to the caller."""
     with open(path, "rb") as handle:
-        return parse_corpus(handle)
+        return parse_corpus(handle, mentioning=mentioning)
 
 
 def load_entity_catalog(path: str | Path) -> tuple[dict[EntityId, set[str]], IngestReport]:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronorank import cli
+from chronorank import build_index, cli, load_corpus
 from helpers import child_env, golden
 
 RANK_FLAGS = [
@@ -110,6 +110,36 @@ def test_rank_widest_range_explains_like_the_corpus_span(run_cli, fixture_corpus
     code, out, err = explain("0001-01-01", "9999-12-31")
     assert (code, err) == (0, "")
     assert out and out == explain("1984-05-03", "1984-06-20")[1]
+
+
+def test_rank_indexes_only_the_documents_naming_a_query_entity(run_cli, fixture_corpus_path, monkeypatch):
+    indexed = []
+
+    def recording_build_index(corpus, granularity):
+        indexed.append(len(corpus))
+        return build_index(corpus, granularity)
+
+    monkeypatch.setattr(cli, "build_index", recording_build_index)
+    code, out, err = run_cli(*fixture_args(fixture_corpus_path, "--semantics", "all", "--explain"))
+    assert (code, err, out) == (0, "", golden("rank_all_month.tsv"))
+    documents = load_corpus(fixture_corpus_path)[0].documents
+    naming = [d for d in documents if {"ent:a", "ent:b"} & d.mentions.keys()]
+    assert len(naming) < len(documents)
+    assert indexed == [len(naming)]
+
+
+def test_validate_keeps_no_document(run_cli, fixture_corpus_path, monkeypatch):
+    kept = []
+
+    def recording_load_corpus(path, **kwargs):
+        corpus, report = load_corpus(path, **kwargs)
+        kept.append(len(corpus))
+        return corpus, report
+
+    monkeypatch.setattr(cli, "load_corpus", recording_load_corpus)
+    code, out, _ = run_cli("validate", str(fixture_corpus_path))
+    assert (code, kept) == (0, [0])
+    assert "accepted: 6" in out
 
 
 def test_rank_default_columns_are_rank_id_total(run_cli, fixture_corpus_path):

@@ -5,16 +5,17 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
 from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronorank import Granularity, build_index, load_corpus, parse_corpus, parse_entity_catalog
+from chronorank import Granularity, build_index, load_corpus, parse_corpus, parse_entity_catalog, rank
 from chronorank.corpus import SKIP_DATELESS, SKIP_DUPLICATE, SKIP_MALFORMED, Corpus, is_valid_entity_id
 
-from helpers import make_doc, reference_parse_corpus
+from helpers import make_doc, random_case, reference_parse_corpus
 
 
 def record(doc_id, day, mentions):
@@ -69,6 +70,27 @@ def test_duplicate_id_keeps_first_record():
     assert report.accepted == 1
     assert report.reasons[SKIP_DUPLICATE] == 1
     assert corpus.documents[0].mentions == {"ent:x": 2}
+
+
+def test_a_record_naming_no_wanted_entity_still_shadows_a_later_duplicate():
+    lines = [record("a1", "1990-02-11", [("ent:z", 1)]), record("a1", "1990-02-12", [("ent:x", 1)])]
+    corpus, report = parse_corpus(lines, mentioning=frozenset({"ent:x"}))
+    assert corpus.documents == []
+    assert report.accepted == 1
+    assert report.reasons == {SKIP_DUPLICATE: 1}
+
+
+@pytest.mark.parametrize("mentioning", [None, frozenset({"ent:x"})])
+def test_a_skipped_record_shadows_no_later_duplicate(mentioning):
+    lines = [
+        record("a1", "1990-02-11", [("ent:x", 0)]),
+        record("a1", "1990-02-30", [("ent:x", 1)]),
+        record("a1", "1990-02-12", [("ent:x", 2)]),
+    ]
+    corpus, report = parse_corpus(lines, mentioning=mentioning)
+    assert [(d.id, d.mentions) for d in corpus.documents] == [("a1", {"ent:x": 2})]
+    assert report.accepted == 1
+    assert report.reasons == {SKIP_MALFORMED: 1, SKIP_DATELESS: 1}
 
 
 def test_repeated_mention_entity_is_malformed():
@@ -248,6 +270,48 @@ def test_ingest_matches_the_reference_parser(lines):
     ]
     assert report.reasons == reasons
     assert report.accepted == len(documents)
+
+
+def corpus_lines(corpus: Corpus) -> list[str]:
+    return [
+        record(d.id, d.published_at.isoformat(), list(d.mentions.items())) for d in corpus.documents
+    ]
+
+
+# Records that reuse the random corpora's ids and entities, so a duplicate can
+# come before or after the record it collides with, naming a query entity or not.
+colliding_records = st.builds(
+    record,
+    st.sampled_from([f"doc{i:05d}" for i in range(4)]),
+    st.sampled_from(["1987-01-01", "1990-02-30", "undated"]),
+    st.lists(st.tuples(st.sampled_from(["e00", "e01", "e02"]), st.integers(0, 2)), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(
+        st.tuples(st.integers(0, 30), colliding_records | near_records.map(json.dumps) | st.text(max_size=6)),
+        max_size=8,
+    ),
+    top_k=st.integers(1, 4),
+)
+def test_ingest_of_the_query_entities_ranks_like_the_whole_corpus(seed, extra, top_k):
+    corpus, q_all, q_any = random_case(random.Random(seed), Granularity.MONTH, 0.5, 30, 8)
+    lines = corpus_lines(corpus)
+    for position, line in extra:
+        lines.insert(position, line)
+    full, full_report = parse_corpus(lines)
+    kept, report = parse_corpus(lines, mentioning=q_all.entities)
+    assert report == full_report
+    assert kept.documents == [d for d in full.documents if not q_all.entities.isdisjoint(d.mentions)]
+    for granularity in Granularity:
+        full_index, kept_index = build_index(full, granularity), build_index(kept, granularity)
+        for query in (q_all, q_any):
+            for k in (None, top_k):
+                asked = replace(query, granularity=granularity, top_k=k)
+                assert rank(kept_index, asked) == rank(full_index, asked)
 
 
 def test_empty_mentions_doc_is_accepted():
