@@ -6,6 +6,9 @@ A query names entities of interest, a date range, and a matching mode:
 "all" keeps documents mentioning every entity, "any" keeps documents
 mentioning at least one. The matched set's spread over periods is the
 timeliness signal: periods where the topic bursts score high.
+
+The index stores no period: the query names its granularity, so one index
+answers day, week, month and year queries alike.
 """
 
 from pathlib import Path
@@ -22,7 +25,7 @@ from chronorank import (
 
 fixture = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixture_corpus.jsonl"
 corpus, _ = load_corpus(fixture)
-index = build_index(corpus, Granularity.MONTH)
+index = build_index(corpus)  # serves queries at every granularity
 
 fixture_start = corpus.documents[0].published_at.replace(day=1)
 query = Query(

@@ -26,7 +26,7 @@ from chronorank import (
 
 fixture = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixture_corpus.jsonl"
 corpus, _ = load_corpus(fixture)
-index = build_index(corpus, Granularity.MONTH)
+index = build_index(corpus)  # serves queries at every granularity
 
 query = Query(
     entities=frozenset({"ent:a", "ent:b"}),

@@ -131,7 +131,7 @@ def cmd_rank(args: argparse.Namespace) -> None:
     # rank reads only documents that name a query entity, so ingest keeps no other.
     corpus, report = load_corpus(args.corpus, mentioning=query.entities)
     _require_documents(report)
-    _emit(rank(build_index(corpus, query.granularity), query), args.fmt, args.explain, sys.stdout)
+    _emit(rank(build_index(corpus), query), args.fmt, args.explain, sys.stdout)
 
 
 def cmd_stats(args: argparse.Namespace) -> None:

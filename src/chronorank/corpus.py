@@ -39,6 +39,9 @@ SKIP_DATELESS = "dateless"
 _DATE_RE = re.compile(r"^(\d{4}-\d{2}-\d{2})([T ].*)?$")
 # re's \s matches exactly the characters str.isspace accepts.
 _BAD_ENTITY_CHAR_RE = re.compile(r"[\s\x00-\x1f\x7f]")
+# Tab, every line break str.splitlines knows and the other C0 and C1 controls:
+# in a document id they could split one tsv row into forged ones.
+_BAD_DOC_ID_CHAR_RE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 # json.loads raises ValueError on bad JSON or too long an integer, RecursionError on deep nesting.
 _UNPARSEABLE = (ValueError, RecursionError)
 
@@ -208,7 +211,7 @@ def parse_corpus(
     known: dict[EntityId, EntityId] = {}
     for record in _records(source, report):
         doc_id = record.get("id")
-        if not isinstance(doc_id, str) or not doc_id:
+        if not isinstance(doc_id, str) or not doc_id or _BAD_DOC_ID_CHAR_RE.search(doc_id):
             report.reasons[SKIP_MALFORMED] += 1
             continue
         mentions = _mentions_from_record(record.get("mentions"), known)

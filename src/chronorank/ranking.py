@@ -94,8 +94,8 @@ class CorpusIndex:
 
     A posting is the tuple of ids of the documents mentioning one entity,
     ordered by (published_at, id); the id breaks ties between documents of
-    one day, so the order is total. No period is stored. granularity is the
-    one queries must ask for.
+    one day, so the order is total. No period is stored, so one index
+    answers queries at every granularity.
 
     neighbourhood(entities) takes a frozenset of query entities and returns
     the union of their postings and the Counter of entities over those
@@ -103,7 +103,6 @@ class CorpusIndex:
     recently used entity sets.
     """
 
-    granularity: Granularity
     docs_by_entity: dict[EntityId, tuple[str, ...]]
     doc_table: dict[str, Document]
     neighbourhood: Callable[[frozenset[EntityId]], tuple[frozenset[str], Counter[EntityId]]] = field(
@@ -118,8 +117,12 @@ class CorpusIndex:
         object.__setattr__(self, "neighbourhood", lru_cache(maxsize=NEIGHBOURHOOD_MEMO_SIZE)(count))
 
 
-def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:
+def build_index(corpus: Corpus, granularity: Granularity | None = None) -> CorpusIndex:
     """Build the entity postings and the document table for a corpus.
+
+    The index serves queries at every granularity, and granularity is
+    ignored. It is kept only because the benchmark scripts still pass one;
+    the benchmark change planned as item 2 of ROADMAP.md deletes it.
 
     Documents with no mentions appear in doc_table but in no entity posting.
     Walking the documents in (published_at, id) order fills every posting in
@@ -133,7 +136,6 @@ def build_index(corpus: Corpus, granularity: Granularity) -> CorpusIndex:
         for entity in doc.mentions:
             by_entity[entity].append(doc.id)
     return CorpusIndex(
-        granularity=granularity,
         docs_by_entity={e: tuple(ids) for e, ids in by_entity.items()},
         doc_table={doc.id: doc for doc in corpus.documents},
     )
@@ -195,16 +197,9 @@ class QueryContext:
 
 def match_documents(index: CorpusIndex, query: Query) -> QueryContext:
     """The context of the documents in the query's date range that mention
-    every (ALL) or any (ANY) query entity.
-
-    Raises ValueError when the index was built at a different granularity
-    than the query asks for.
+    every (ALL) or any (ANY) query entity. Periods are taken at the query's
+    granularity, so one index answers queries at any granularity.
     """
-    if index.granularity is not query.granularity:
-        raise ValueError(
-            f"index granularity {index.granularity.value} does not match "
-            f"query granularity {query.granularity.value}"
-        )
     doc_table = index.doc_table
 
     def day(doc_id: str) -> date:

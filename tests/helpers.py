@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import unicodedata
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -66,7 +67,7 @@ def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
     documents: list[Document] = []
     for record in _records(lines, report):
         doc_id, raw, raw_day = record.get("id"), record.get("mentions"), record.get("date")
-        if not isinstance(doc_id, str) or not doc_id or not _reference_mentions_ok(raw):
+        if not _reference_doc_id_ok(doc_id) or not _reference_mentions_ok(raw):
             report.reasons[SKIP_MALFORMED] += 1
         elif not isinstance(raw_day, str) or _parse_day(raw_day) is None:
             report.reasons[SKIP_DATELESS] += 1
@@ -76,6 +77,17 @@ def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
             mentions = {item["entity"]: item["count"] for item in raw}
             documents.append(Document(id=doc_id, published_at=_parse_day(raw_day), mentions=mentions))
     return documents, report.reasons
+
+
+def _reference_doc_id_ok(doc_id: object) -> bool:
+    """A non-empty string with no control character (category Cc, which
+    holds tab and every C0 and C1 control) and no line or paragraph
+    separator (Zl, Zp)."""
+    return (
+        isinstance(doc_id, str)
+        and bool(doc_id)
+        and all(unicodedata.category(ch) not in ("Cc", "Zl", "Zp") for ch in doc_id)
+    )
 
 
 def _reference_mentions_ok(raw: object) -> bool:

@@ -80,7 +80,7 @@ def test_criterion_1_engine_matches_brute_force_at_random(verdict):
             corpus, q_all, q_any = random_case(
                 rng, granularity, beta, doc_count, entity_count=rng.randint(4, 60)
             )
-            index = build_index(corpus, granularity)
+            index = build_index(corpus)
             for query in (q_all, q_any):
                 expected = oracle_rank(corpus, query)
                 assert_rows_agree(rank(index, query), expected)
@@ -121,7 +121,7 @@ def test_criterion_3_invariants_hold_across_a_seeded_sweep(verdict):
                 rng, granularity, beta=BETAS[i % 4],
                 doc_count=rng.randint(0, 120), entity_count=rng.randint(2, 20),
             )
-            index = build_index(corpus, granularity)
+            index = build_index(corpus)
             ctx_all = match_documents(index, q_all)
             ctx_any = match_documents(index, q_any)
 
@@ -203,7 +203,7 @@ def test_criterion_3_invariants_hold_across_a_seeded_sweep(verdict):
                 ]
                 widened = Corpus(documents=list(corpus.documents) + twins)
                 twin_rows = [
-                    r for r in rank(build_index(widened, granularity), q_any)
+                    r for r in rank(build_index(widened), q_any)
                     if r.doc_id in ("tie_a", "tie_b")
                 ]
                 assert [r.doc_id for r in twin_rows] == ["tie_a", "tie_b"]
@@ -256,7 +256,7 @@ def test_criterion_4_burst_scenario_promotions(verdict):
             granularity=Granularity.MONTH,
             beta=0.5,
         )
-        index = build_index(corpus, Granularity.MONTH)
+        index = build_index(corpus)
         rows = {r.doc_id: r for r in rank(index, query)}
         assert len(rows) == 20
 
@@ -383,7 +383,7 @@ def test_criterion_6_scale_smoke(verdict):
             beta=0.5,
         )
         started = time.perf_counter()
-        index = build_index(corpus, Granularity.MONTH)
+        index = build_index(corpus)
         rows = rank(index, query)
         elapsed = time.perf_counter() - started
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import date
 from enum import Enum
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronorank import build_index, cli, load_corpus
+from chronorank import Granularity, Query, Semantics, build_index, cli, load_corpus, rank
 from helpers import child_env, golden
 
 RANK_FLAGS = [
@@ -115,9 +116,9 @@ def test_rank_widest_range_explains_like_the_corpus_span(run_cli, fixture_corpus
 def test_rank_indexes_only_the_documents_naming_a_query_entity(run_cli, fixture_corpus_path, monkeypatch):
     indexed = []
 
-    def recording_build_index(corpus, granularity):
+    def recording_build_index(corpus):
         indexed.append(len(corpus))
-        return build_index(corpus, granularity)
+        return build_index(corpus)
 
     monkeypatch.setattr(cli, "build_index", recording_build_index)
     code, out, err = run_cli(*fixture_args(fixture_corpus_path, "--semantics", "all", "--explain"))
@@ -523,3 +524,45 @@ def test_cli_boundary_exits_cleanly_on_hostile_input(argv, query_file):
     # validate prints its tallies before an empty corpus makes it exit 1
     if code != 0 and not (argv[:1] == ["validate"] and code == 1):
         assert out.getvalue() == "", (argv, code, out.getvalue())
+
+
+# Corpus lines whose ids are arbitrary text, control characters and line
+# breaks included, dated in January 1990 and naming some of A, B and C.
+ARBITRARY_ID_LINES = st.lists(
+    st.builds(
+        lambda doc_id, day, entities: json.dumps({
+            "id": doc_id,
+            "date": f"1990-01-{day:02d}",
+            "mentions": [{"entity": e, "count": 1 + i} for i, e in enumerate(sorted(entities))],
+        }),
+        st.text(max_size=6),
+        st.integers(1, 31),
+        st.sets(st.sampled_from("ABC"), max_size=3),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=ARBITRARY_ID_LINES, semantics=st.sampled_from(["all", "any"]))
+def test_rank_tsv_prints_one_seven_field_line_per_row_whatever_the_ids(lines, semantics):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([
+                "rank", str(path), "--entity", "A", "--entity", "B", "--semantics", semantics,
+                "--from", "1990-01-01", "--to", "1990-01-31", "--explain",
+            ])
+        if code != 0:
+            return
+        corpus, _ = load_corpus(path)
+    query = Query(
+        entities=frozenset({"A", "B"}), semantics=Semantics(semantics),
+        start=date(1990, 1, 1), end=date(1990, 1, 31), granularity=Granularity.MONTH,
+    )
+    rows = [line.split("\t") for line in out.getvalue().splitlines()]
+    assert all(len(row) == 7 for row in rows), rows
+    assert [row[0] for row in rows] == [str(n) for n in range(1, len(rows) + 1)]
+    assert len(rows) == len(rank(build_index(corpus), query))

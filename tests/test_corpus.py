@@ -147,6 +147,15 @@ LONG_INTEGER = json.dumps({"id": "a1", "date": "1990-02-11", "mentions": [{"enti
 )
 
 
+def test_document_id_with_a_control_character_or_line_break_is_malformed():
+    # Such an id would print as several tsv rows, one of them forged.
+    bad = ["evil\n2\tfake\t9.999999", "a\tb", "a\rb", "a\x00b", "a\x7fb", "a\x85b", "a\x9fb", "a\u2028b", "a\u2029b"]
+    lines = [record(doc_id, "1990-01-05", [("A", 1)]) for doc_id in [*bad, "a b", "a\u00a0b"]]
+    corpus, report = parse_corpus(lines)
+    assert [d.id for d in corpus.documents] == ["a b", "a\u00a0b"]
+    assert report.reasons == {SKIP_MALFORMED: len(bad)}
+
+
 @pytest.mark.parametrize(
     "parse,line",
     [
@@ -249,7 +258,7 @@ pool_mention = st.fixed_dictionaries(
 )
 pool_records = st.fixed_dictionaries(
     {
-        "id": st.sampled_from(["a1", "a2", "a3", ""]),
+        "id": st.sampled_from(["a1", "a2", "a3", "", "a\tb", "a\nb", "a b"]),
         "date": st.sampled_from(["1990-02-11", "1990-02-11T09:00", "1990-02-30"]),
         "mentions": st.lists(pool_mention, max_size=3)
         | st.lists(pool_mention, max_size=2).map(lambda items: [*items, None]),
@@ -306,8 +315,8 @@ def test_ingest_of_the_query_entities_ranks_like_the_whole_corpus(seed, extra, t
     kept, report = parse_corpus(lines, mentioning=q_all.entities)
     assert report == full_report
     assert kept.documents == [d for d in full.documents if not q_all.entities.isdisjoint(d.mentions)]
+    full_index, kept_index = build_index(full), build_index(kept)
     for granularity in Granularity:
-        full_index, kept_index = build_index(full, granularity), build_index(kept, granularity)
         for query in (q_all, q_any):
             for k in (None, top_k):
                 asked = replace(query, granularity=granularity, top_k=k)
@@ -382,7 +391,7 @@ def test_equal_entity_ids_share_one_string():
     corpus, _ = parse_corpus(lines)
     shared = {id(e) for d in corpus.documents for e in d.mentions}
     assert len(shared) == len(corpus.entity_universe) == 3
-    index = build_index(corpus, Granularity.MONTH)
+    index = build_index(corpus)
     assert {id(e) for e in index.docs_by_entity} == shared
 
 

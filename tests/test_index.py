@@ -51,7 +51,7 @@ def test_granularity_parses_lowercase_tokens_only():
 
 def test_build_index_single_document():
     doc = make_doc("a1", "1990-02-11", {"ent:x": 2, "ent:y": 1})
-    index = build_index(make_corpus(doc), Granularity.MONTH)
+    index = build_index(make_corpus(doc))
     assert index.docs_by_entity == {"ent:x": ("a1",), "ent:y": ("a1",)}
     assert index.doc_table["a1"] is doc
 
@@ -65,14 +65,14 @@ def test_postings_are_sorted():
         make_doc("b", "1990-01-05", {"ent:x": 1}),
         make_doc("c", "1990-01-06", {"ent:x": 1, "ent:y": 1}),
     )
-    index = build_index(corpus, Granularity.MONTH)
+    index = build_index(corpus)
     assert index.docs_by_entity["ent:x"] == ("b", "d", "c", "a")
     assert index.docs_by_entity["ent:y"] == ("d", "c")
 
 
 def test_document_without_mentions_lands_in_doc_table_only():
     doc = make_doc("a1", "1990-01-05", {})
-    index = build_index(make_corpus(doc), Granularity.MONTH)
+    index = build_index(make_corpus(doc))
     assert index.docs_by_entity == {}
     assert index.doc_table == {"a1": doc}
 
@@ -81,7 +81,7 @@ def test_an_unreferenced_index_is_freed_with_its_neighbourhood_cache():
     """The neighbourhood cache holds no reference back to its index, so the
     last reference to a used index frees it at once, before any garbage
     collection; a long-running process rebuilding its index holds one."""
-    index = build_index(make_corpus(make_doc("d1", "1990-02-11", {"A": 1, "B": 1})), Granularity.MONTH)
+    index = build_index(make_corpus(make_doc("d1", "1990-02-11", {"A": 1, "B": 1})))
     query = Query(
         entities=frozenset({"A"}), semantics=Semantics.ALL, start=date(1990, 2, 1), end=date(1990, 2, 28),
         granularity=Granularity.MONTH,

@@ -79,8 +79,8 @@ def test_oracle_matches_engine_on_fixture():
         make_doc("d5", "1984-06-15", {"ent:b": 1, "ent:c": 2}),
         make_doc("d6", "1984-06-20", {"ent:c": 1, "ent:d": 2}),
     )
+    index = build_index(corpus)
     for granularity in Granularity:
-        index = build_index(corpus, granularity)
         for semantics in Semantics:
             q = Query(
                 entities=frozenset({"ent:a", "ent:b"}),
@@ -101,7 +101,7 @@ def test_oracle_matches_engine_on_small_random_corpora():
             rng, granularity, beta=rng.choice([0.0, 0.3, 0.5, 1.0]),
             doc_count=rng.randint(0, 60), entity_count=rng.randint(2, 12),
         )
-        index = build_index(corpus, granularity)
+        index = build_index(corpus)
         for q in (q_all, q_any):
             expected = oracle_rank(corpus, q)
             got = rank(index, q)

@@ -76,7 +76,7 @@ def queries(draw) -> Query:
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), query=queries())
 def test_score_components_stay_in_bounds(corpus, query):
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     for row in rank(index, query):
         assert 0.0 < row.relativeness <= 1.0
         assert 0.0 < row.timeliness <= 1.0
@@ -88,7 +88,7 @@ def test_score_components_stay_in_bounds(corpus, query):
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), query=queries())
 def test_period_shares_sum_to_one_over_matched(corpus, query):
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     ctx = match_documents(index, query)
     assume(ctx.matched)
     assert abs(sum(ctx.period_scores.values()) - 1.0) <= 1e-12
@@ -99,7 +99,7 @@ def test_period_shares_sum_to_one_over_matched(corpus, query):
 def test_relatedness_collapses_over_the_period_partition(corpus, query):
     """Summing per-period co-occurrence over a partition of the matched set
     equals the overall co-occurrence rate."""
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     ctx = match_documents(index, query)
     assume(ctx.matched)
     extras = sorted(corpus.entity_universe - query.entities)
@@ -154,7 +154,7 @@ def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
     returns exactly those rows, sorted by total descending and id ascending,
     cut to top_k."""
     query = replace(query, top_k=top_k)
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     ctx = match_documents(index, query)
 
     def period(doc_id: str) -> str:
@@ -202,9 +202,8 @@ def test_rows_equal_the_per_posting_formula(corpus, query, top_k):
 
 @st.composite
 def query_sequences(draw) -> list[Query]:
-    """Queries at one granularity over at most two entity sets, so that most
-    of them share a query-entity union with an earlier one."""
-    granularity = draw(st.sampled_from(list(Granularity)))
+    """Queries at mixed granularities over at most two entity sets, so that
+    most of them share a query-entity union with an earlier one."""
     interests = draw(st.lists(st.sets(st.sampled_from(POOL), min_size=1, max_size=3), min_size=1, max_size=2))
     batch = []
     for _ in range(draw(st.integers(min_value=2, max_value=6))):
@@ -214,7 +213,7 @@ def query_sequences(draw) -> list[Query]:
             semantics=draw(st.sampled_from(list(Semantics))),
             start=WINDOW_START + timedelta(days=min(lo, hi)),
             end=WINDOW_START + timedelta(days=max(lo, hi)),
-            granularity=granularity,
+            granularity=draw(st.sampled_from(list(Granularity))),
             beta=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
             top_k=draw(st.sampled_from([None, 1, 3])),
         ))
@@ -224,12 +223,12 @@ def query_sequences(draw) -> list[Query]:
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), batch=query_sequences())
 def test_a_warm_index_ranks_like_a_fresh_one(corpus, batch):
-    """Neighbourhood counts reused across ranges, semantics, top_k and beta
-    leave every row as a fresh index gives it, in either query order."""
-    granularity = batch[0].granularity
-    fresh = [rank(build_index(corpus, granularity), query) for query in batch]
+    """One index shared by queries at mixed granularities, reusing
+    neighbourhood counts across ranges, semantics, top_k and beta, ranks every
+    query as a fresh index built for it alone does, in either query order."""
+    fresh = [rank(build_index(corpus, query.granularity), query) for query in batch]
     for order in (range(len(batch)), reversed(range(len(batch)))):
-        warm = build_index(corpus, granularity)
+        warm = build_index(corpus)
         for i in order:
             assert rank(warm, batch[i]) == fresh[i]
 
@@ -279,7 +278,7 @@ def test_matching_equals_a_date_filter_over_every_posted_document(corpus, intere
     every posted document's date keeps, with the same period shares."""
     start, end = (WINDOW_START + timedelta(days=n) for n in sorted(ends))
     query = Query(entities=frozenset(interest), semantics=semantics, start=start, end=end, granularity=granularity)
-    index = build_index(corpus, granularity)
+    index = build_index(corpus)
     ctx = match_documents(index, query)
 
     def published(doc_id: str) -> date:
@@ -330,7 +329,7 @@ def wide_cases(draw) -> tuple[Corpus, Query]:
 @given(case=wide_cases())
 def test_wide_queries_agree_with_brute_force(case):
     corpus, query = case
-    got = rank(build_index(corpus, query.granularity), query)
+    got = rank(build_index(corpus), query)
     expected = oracle_rank(corpus, query)
     assert [r.doc_id for r in got] == [r.doc_id for r in expected]
     for mine, ref in zip(got, expected):
@@ -343,7 +342,7 @@ def test_wide_queries_agree_with_brute_force(case):
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), query=queries())
 def test_all_matches_are_contained_in_any_matches(corpus, query):
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     strict = Query(
         entities=query.entities, semantics=Semantics.ALL, start=query.start,
         end=query.end, granularity=query.granularity, beta=query.beta,
@@ -358,7 +357,7 @@ def test_all_matches_are_contained_in_any_matches(corpus, query):
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), query=queries(), bump=st.integers(min_value=1, max_value=9))
 def test_matching_ignores_mention_counts(corpus, query, bump):
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     before = match_documents(index, query).matched
     bumped_docs = [
         Document(
@@ -368,7 +367,7 @@ def test_matching_ignores_mention_counts(corpus, query, bump):
         )
         for doc in corpus.documents
     ]
-    bumped_index = build_index(Corpus(documents=bumped_docs), query.granularity)
+    bumped_index = build_index(Corpus(documents=bumped_docs))
     assert match_documents(bumped_index, query).matched == before
 
 
@@ -379,7 +378,7 @@ def test_beta_zero_orders_by_timeliness_times_relativeness(corpus, query):
         entities=query.entities, semantics=query.semantics, start=query.start,
         end=query.end, granularity=query.granularity, beta=0.0,
     )
-    index = build_index(corpus, plain.granularity)
+    index = build_index(corpus)
     rows = rank(index, plain)
     expected = sorted(rows, key=lambda r: (-(r.timeliness * r.relativeness), r.doc_id))
     assert [r.doc_id for r in rows] == [r.doc_id for r in expected]
@@ -425,7 +424,7 @@ def test_all_matches_score_the_same_relativeness_under_either_semantics(corpus, 
     """Semantics only choose the matched documents. A document an ALL query
     matches names every query entity, so ANY's coverage factor is exactly 1
     for it and both rankings carry the plain query share, bit for bit."""
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     under = {
         semantics: {row.doc_id: row.relativeness for row in rank(index, replace(query, semantics=semantics))}
         for semantics in Semantics
@@ -439,7 +438,7 @@ def test_all_matches_score_the_same_relativeness_under_either_semantics(corpus, 
 @settings(max_examples=60, deadline=None)
 @given(corpus=corpora(), query=queries())
 def test_engine_agrees_with_brute_force(corpus, query):
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     got = rank(index, query)
     expected = oracle_rank(corpus, query)
     assert [r.doc_id for r in got] == [r.doc_id for r in expected]
@@ -453,9 +452,9 @@ def test_engine_agrees_with_brute_force(corpus, query):
 @settings(max_examples=120, deadline=None)
 @given(corpus=corpora(), query=queries())
 def test_ranking_is_deterministic_within_a_process(corpus, query):
-    index = build_index(corpus, query.granularity)
+    index = build_index(corpus)
     once = rank(index, query)
-    again = rank(build_index(corpus, query.granularity), query)
+    again = rank(build_index(corpus), query)
     assert once == again
 
 

@@ -159,19 +159,19 @@ def query(semantics, start="1990-01-01", end="1990-03-31", **kwargs):
 
 
 def test_match_all_requires_every_entity(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ALL))
     assert ctx.matched == {"in_both"}
 
 
 def test_match_any_takes_the_union(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ANY))
     assert ctx.matched == {"in_both", "only_a", "only_b"}
 
 
 def test_match_filters_by_exact_dates_not_period_edges(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ANY, start="1990-01-15", end="1990-02-05"))
     # only_a (Jan 20) and only_b (Feb 5) are inside; in_both (Jan 10) is not,
     # even though January, a period the range only partly covers, counts.
@@ -180,14 +180,14 @@ def test_match_filters_by_exact_dates_not_period_edges(matching_corpus):
 
 
 def test_match_range_boundaries_are_inclusive(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ANY, start="1990-01-10", end="1990-02-05"))
     assert "in_both" in ctx.matched
     assert "only_b" in ctx.matched
 
 
 def test_timeliness_of_an_in_range_period_without_matches_is_zero(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ALL, end="1990-03-31"))
     assert ctx.period_scores == {"1990-01": 1.0}
     scored = {
@@ -198,7 +198,7 @@ def test_timeliness_of_an_in_range_period_without_matches_is_zero(matching_corpu
 
 
 def test_match_union_docs_ignore_the_date_filter(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ALL))
     union, _ = index.neighbourhood(ctx.query.entities)
     assert union == {"in_both", "only_a", "only_b", "too_late"}
@@ -206,20 +206,14 @@ def test_match_union_docs_ignore_the_date_filter(matching_corpus):
 
 
 def test_match_unknown_entity_under_all_matches_nothing(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ALL, entities={"ent:a", "ent:ghost"}))
     assert ctx.matched == frozenset()
     assert ctx.period_scores == {}
 
 
-def test_match_rejects_granularity_mismatch(matching_corpus):
-    index = build_index(matching_corpus, Granularity.WEEK)
-    with pytest.raises(ValueError, match="granularity"):
-        match_documents(index, query(Semantics.ALL))
-
-
 def test_matched_documents_fall_in_exactly_one_period(matching_corpus):
-    index = build_index(matching_corpus, Granularity.MONTH)
+    index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ANY))
     keys = {period_of(index.doc_table[doc_id].published_at, Granularity.MONTH) for doc_id in ctx.matched}
     assert set(ctx.period_scores) == keys == {"1990-01", "1990-02"}

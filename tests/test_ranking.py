@@ -85,14 +85,14 @@ def fixture_query(semantics, beta=0.5, top_k=None):
 
 @pytest.fixture
 def all_ctx(six_doc_corpus):
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     return match_documents(index, fixture_query(Semantics.ALL))
 
 
 def test_single_entity_queries_make_both_variants_agree(six_doc_corpus):
     """With one query entity, ALL and ANY match the same documents and so
     rank them identically."""
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     variants = [
         Query(
             entities=frozenset({"ent:c"}), semantics=semantics, start=date(1984, 5, 1), end=date(1984, 6, 30),
@@ -112,7 +112,7 @@ def test_timeliness_on_fixture(all_ctx):
 @pytest.fixture
 def june_ctx(six_doc_corpus):
     """ent:d from 1 to 10 June: matched {d4}, union {d4, d6}."""
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     narrow = Query(
         entities=frozenset({"ent:d"}),
         semantics=Semantics.ALL,
@@ -153,7 +153,7 @@ def test_idf_is_zero_for_an_omnipresent_entity():
         make_doc("x1", "1990-01-03", {"A": 1, "E": 1}),
         make_doc("x2", "1990-01-04", {"A": 2, "E": 3}),
     )
-    index = build_index(corpus, Granularity.MONTH)
+    index = build_index(corpus)
     q = Query(
         entities=frozenset({"A"}),
         semantics=Semantics.ALL,
@@ -199,7 +199,7 @@ def test_neighbourhood_counts_are_reused_across_queries(all_ctx):
 def test_neighbourhood_counts_keep_the_most_recently_used_unions():
     assert NEIGHBOURHOOD_MEMO_SIZE == 64
     corpus = make_corpus(*(make_doc(f"d{i:02d}", "1990-01-10", {f"E{i:02d}": 1, "X": 1}) for i in range(70)))
-    index = build_index(corpus, Granularity.MONTH)
+    index = build_index(corpus)
 
     def ask(i: int) -> None:
         q = Query(
@@ -250,10 +250,10 @@ def test_threads_sharing_an_index_rank_as_one_thread_does():
         )
         for entities in sets
     ]
-    serial = build_index(corpus, Granularity.MONTH)
+    serial = build_index(corpus)
     expected = [rank(serial, query) for query in queries]
     assert all(expected)  # every query matches, so every one reads its neighbourhood
-    shared = build_index(corpus, Granularity.MONTH)
+    shared = build_index(corpus)
     mismatches: list[tuple[int, int]] = []
     errors: list[Exception] = []
 
@@ -335,7 +335,7 @@ def test_relatedness_term_is_zero_when_no_extra_entities(all_ctx):
 def test_rank_order_on_fixture_all(six_doc_corpus):
     """Query entities given as a plain set rank as a frozenset of them does."""
     for entities in (frozenset({"ent:a", "ent:b"}), {"ent:a", "ent:b"}):
-        index = build_index(six_doc_corpus, Granularity.MONTH)
+        index = build_index(six_doc_corpus)
         rows = rank(index, replace(fixture_query(Semantics.ALL), entities=entities))
         assert [r.doc_id for r in rows] == ["d2", "d1", "d4"]
         assert rows[0].total == pytest.approx(2 / 3, abs=EXACT)
@@ -344,7 +344,7 @@ def test_rank_order_on_fixture_all(six_doc_corpus):
 
 
 def test_rank_order_on_fixture_any(six_doc_corpus):
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     rows = rank(index, fixture_query(Semantics.ANY))
     assert [r.doc_id for r in rows] == ["d2", "d1", "d4", "d3", "d5"]
     assert rows[1].total == pytest.approx(0.49, abs=EXACT)
@@ -352,20 +352,20 @@ def test_rank_order_on_fixture_any(six_doc_corpus):
 
 
 def test_beta_zero_drops_the_relatedness_contribution(six_doc_corpus):
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     rows = rank(index, fixture_query(Semantics.ALL, beta=0.0))
     for row in rows:
         assert row.total == row.timeliness * row.relativeness
 
 
 def test_rank_truncates_to_top_k(six_doc_corpus):
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     rows = rank(index, fixture_query(Semantics.ANY, top_k=2))
     assert [r.doc_id for r in rows] == ["d2", "d1"]
 
 
 def test_rank_empty_match_returns_empty(six_doc_corpus):
-    index = build_index(six_doc_corpus, Granularity.MONTH)
+    index = build_index(six_doc_corpus)
     ghost = Query(
         entities=frozenset({"ent:ghost"}),
         semantics=Semantics.ALL,
@@ -382,7 +382,7 @@ def test_equal_documents_tie_break_by_id():
         make_doc("twin_a", "1990-01-12", {"A": 2, "B": 1}),
         make_doc("other", "1990-01-20", {"A": 1, "C": 3}),
     )
-    index = build_index(corpus, Granularity.MONTH)
+    index = build_index(corpus)
     q = Query(
         entities=frozenset({"A"}),
         semantics=Semantics.ALL,
@@ -417,6 +417,6 @@ def test_rank_iterates_the_query_entities_a_bounded_number_of_times(semantics):
         granularity=Granularity.MONTH,
     )
     entities.iterations = 0
-    rows = rank(build_index(make_corpus(*docs), Granularity.MONTH), query)
+    rows = rank(build_index(make_corpus(*docs)), query)
     assert len(rows) == 40
     assert entities.iterations <= 2

@@ -59,7 +59,7 @@ def row_digest(granularity: Granularity) -> str:
     rng = random.Random(20240611)
     pool = entity_pool(30)
     corpus = random_corpus(rng, 900, pool, WINDOW_START, WINDOW_END)
-    index = build_index(corpus, granularity)
+    index = build_index(corpus)
     digest = hashlib.sha256()
     for query in seeded_queries(rng, granularity, pool):
         for r in rank(index, query):
