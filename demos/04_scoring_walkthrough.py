@@ -57,8 +57,8 @@ print("timeliness of", period, "is", timeliness)
 # The first read of the scores counts the entities of every document that
 # mentions a query entity; idf is the share of those documents without ent:c.
 related = context.entity_scores["ent:c"]
-union, counts = index.neighbourhood(query.entities)
-print("idf of ent:c:", 1.0 - counts["ent:c"] / len(union))
+union_size, counts = index.neighbourhood(query.entities)
+print("idf of ent:c:", 1.0 - counts["ent:c"] / union_size)
 print("relatedness of ent:c:", related)
 
 # recombine: timeliness * relativeness + beta * mean relatedness of extras

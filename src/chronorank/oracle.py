@@ -8,8 +8,8 @@ rates, is re-derived here by direct scans over the raw document list. No
 inverted indexes are built. Quadratic cost in corpus size is fine; this path
 exists for equivalence testing and debugging, not production use.
 
-The summation order and tie-breaking mirror the engine exactly so agreement
-can be asserted to within floating-point noise.
+The summation order and tie-breaking mirror the engine exactly, so the tests
+assert agreement bit for bit: every row equal with ==.
 """
 
 from __future__ import annotations

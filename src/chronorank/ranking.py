@@ -27,8 +27,8 @@ Cost of one rank call:
   QueryContext     buckets the matched documents by period once
                    (period_groups) and derives from the groups each period's
                    share and, in one pass, every related entity's score.
-  neighbourhood    the idf factor's union and entity counts depend on the
-                   query's entity set alone, so each index keeps them for
+  neighbourhood    the idf factor's union size and entity counts depend on
+                   the query's entity set alone, so each index keeps them for
                    its NEIGHBOURHOOD_MEMO_SIZE most recently used entity
                    sets. A miss counts the mentions of every union document
                    once; later queries over the same entities reuse the
@@ -46,8 +46,8 @@ copy of it; the oracle keeps the one independent copy.
 Evaluation order is fixed so results are bit-for-bit reproducible. Postings
 are in (published_at, id) order. Co-occurrence is summed per period in
 ascending period order, each period adding its own m_p / M, and only then
-multiplied by the idf factor, so a score equals a per-entity posting scan bit
-for bit; one overall ratio would round differently and could reorder exact
+multiplied by the idf factor, so a score equals the oracle's per-period scan
+bit for bit; one overall ratio would round differently and could reorder exact
 ties. A row's related entities are summed in ascending entity-id order, and
 the division by the entity count happens after the sum. The counts are
 integers, so no score depends on the order documents are visited in. Ties in
@@ -81,11 +81,11 @@ def _count_neighbourhood(
     docs_by_entity: dict[EntityId, tuple[str, ...]],
     doc_table: dict[str, Document],
     entities: frozenset[EntityId],
-) -> tuple[frozenset[str], Counter[EntityId]]:
-    """The documents mentioning any of entities, and how many of them mention
-    each entity."""
+) -> tuple[int, Counter[EntityId]]:
+    """How many documents mention any of entities, and how many of them
+    mention each entity."""
     union = frozenset().union(*[docs_by_entity.get(e, ()) for e in entities])
-    return union, Counter(chain.from_iterable(map(attrgetter("mentions"), map(doc_table.__getitem__, union))))
+    return len(union), Counter(chain.from_iterable(map(attrgetter("mentions"), map(doc_table.__getitem__, union))))
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,14 @@ class CorpusIndex:
     answers queries at every granularity.
 
     neighbourhood(entities) takes a frozenset of query entities and returns
-    the union of their postings and the Counter of entities over those
-    documents. Each index caches it for its NEIGHBOURHOOD_MEMO_SIZE most
+    the size of the union of their postings and the Counter of entities over
+    those documents. Each index caches it for its NEIGHBOURHOOD_MEMO_SIZE most
     recently used entity sets.
     """
 
     docs_by_entity: dict[EntityId, tuple[str, ...]]
     doc_table: dict[str, Document]
-    neighbourhood: Callable[[frozenset[EntityId]], tuple[frozenset[str], Counter[EntityId]]] = field(
+    neighbourhood: Callable[[frozenset[EntityId]], tuple[int, Counter[EntityId]]] = field(
         init=False, compare=False, repr=False
     )
 
@@ -177,8 +177,8 @@ class QueryContext:
         An entity in no matched document has no entry: its score is 0.0.
         Raises ValueError when no document mentions a query entity.
         """
-        union, inside = self.index.neighbourhood(frozenset(self.query.entities))
-        if not union:
+        union_size, inside = self.index.neighbourhood(frozenset(self.query.entities))
+        if not union_size:
             raise ValueError("no documents mention any query entity")
         groups = self.period_groups
         total = len(self.matched)
@@ -189,7 +189,7 @@ class QueryContext:
                 cooccurrence[entity] = cooccurrence.get(entity, 0.0) + n / total
         entities = self.query.entities
         return {
-            entity: (1.0 - inside[entity] / len(union)) * rate
+            entity: (1.0 - inside[entity] / union_size) * rate
             for entity, rate in cooccurrence.items()
             if entity not in entities
         }

@@ -51,16 +51,6 @@ def verdict(capsys):
     return criterion
 
 
-def assert_rows_agree(got, expected):
-    assert [r.doc_id for r in got] == [r.doc_id for r in expected]
-    for mine, ref in zip(got, expected):
-        assert abs(mine.total - ref.total) <= TOLERANCE
-        assert abs(mine.relativeness - ref.relativeness) <= TOLERANCE
-        assert abs(mine.timeliness - ref.timeliness) <= TOLERANCE
-        assert abs(mine.relatedness_term - ref.relatedness_term) <= TOLERANCE
-        assert mine.period == ref.period
-
-
 def test_criterion_1_engine_matches_brute_force_at_random(verdict):
     with verdict("criterion 1, brute-force equivalence on 200 random corpora"):
         started = time.perf_counter()
@@ -83,7 +73,7 @@ def test_criterion_1_engine_matches_brute_force_at_random(verdict):
             index = build_index(corpus)
             for query in (q_all, q_any):
                 expected = oracle_rank(corpus, query)
-                assert_rows_agree(rank(index, query), expected)
+                assert rank(index, query) == expected
                 rows_compared += len(expected)
                 nonempty_runs += bool(expected)
         elapsed = time.perf_counter() - started

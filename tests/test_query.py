@@ -200,9 +200,10 @@ def test_timeliness_of_an_in_range_period_without_matches_is_zero(matching_corpu
 def test_match_union_docs_ignore_the_date_filter(matching_corpus):
     index = build_index(matching_corpus)
     ctx = match_documents(index, query(Semantics.ALL))
-    union, _ = index.neighbourhood(ctx.query.entities)
-    assert union == {"in_both", "only_a", "only_b", "too_late"}
-    assert ctx.matched <= union
+    union_size, counts = index.neighbourhood(ctx.query.entities)
+    # in_both, only_a, only_b and too_late, which is past the range
+    assert union_size == 4
+    assert counts["ent:a"] == 3
 
 
 def test_match_unknown_entity_under_all_matches_nothing(matching_corpus):

@@ -23,6 +23,7 @@ from chronorank import (
     Semantics,
     build_index,
     final_score,
+    load_corpus,
     match_documents,
     rank,
 )
@@ -60,15 +61,9 @@ def test_relativeness_rejects_empty_documents():
 
 
 @pytest.fixture
-def six_doc_corpus():
-    return make_corpus(
-        make_doc("d1", "1984-05-03", {"ent:a": 2, "ent:b": 1, "ent:c": 1}),
-        make_doc("d2", "1984-05-10", {"ent:a": 1, "ent:b": 1}),
-        make_doc("d3", "1984-05-21", {"ent:a": 3, "ent:c": 1}),
-        make_doc("d4", "1984-06-02", {"ent:a": 1, "ent:b": 2, "ent:d": 1}),
-        make_doc("d5", "1984-06-15", {"ent:b": 1, "ent:c": 2}),
-        make_doc("d6", "1984-06-20", {"ent:c": 1, "ent:d": 2}),
-    )
+def six_doc_corpus(fixture_corpus_path):
+    corpus, _ = load_corpus(fixture_corpus_path)
+    return corpus
 
 
 def fixture_query(semantics, beta=0.5, top_k=None):
@@ -141,8 +136,9 @@ def test_timeliness_rejects_period_outside_range(all_ctx):
 
 def test_idf_on_fixture(all_ctx):
     # union of documents mentioning ent:a or ent:b is {d1..d5}
-    union, _ = all_ctx.index.neighbourhood(all_ctx.query.entities)
-    assert union == {"d1", "d2", "d3", "d4", "d5"}
+    union_size, counts = all_ctx.index.neighbourhood(all_ctx.query.entities)
+    assert union_size == 5
+    assert counts == {"ent:a": 4, "ent:b": 4, "ent:c": 3, "ent:d": 1}
     assert idf(all_ctx, "ent:c") == pytest.approx(0.4, abs=EXACT)  # in 3 of 5
     assert idf(all_ctx, "ent:d") == pytest.approx(0.8, abs=EXACT)  # in 1 of 5
     assert idf(all_ctx, "ent:ghost") == pytest.approx(1.0, abs=EXACT)
@@ -184,16 +180,15 @@ def test_neighbourhood_counts_are_reused_across_queries(all_ctx):
     neighbourhood = all_ctx.index.neighbourhood
     assert "ent:c" in all_ctx.entity_scores
     assert neighbourhood.cache_info()[:2] == (0, 1)  # (hits, misses)
-    union, counts = neighbourhood(all_ctx.query.entities)
-    assert counts["ent:c"] == 3
+    union_size, counts = neighbourhood(all_ctx.query.entities)
+    assert union_size == 5 and counts["ent:c"] == 3
     counts["ent:c"] = 0  # poke the memo to prove it is used
     # ANY over the same entities shares the union {d1..d5} and matches all
     # five: ent:c is in d1, d3 of May's three and d5 of June's two
     any_ctx = match_documents(all_ctx.index, fixture_query(Semantics.ANY))
     assert any_ctx.entity_scores["ent:c"] == (1.0 - 0 / 5) * (2 / 5 + 1 / 5)
     assert neighbourhood.cache_info()[:2] == (2, 1)
-    shared_union, shared_counts = neighbourhood(frozenset({"ent:b", "ent:a"}))
-    assert shared_union is union and shared_counts is counts
+    assert neighbourhood(frozenset({"ent:b", "ent:a"}))[1] is counts
 
 
 def test_neighbourhood_counts_keep_the_most_recently_used_unions():
@@ -214,8 +209,8 @@ def test_neighbourhood_counts_keep_the_most_recently_used_unions():
     def held(i: int) -> bool:
         """Whether E{i}'s neighbourhood was cached; asking caches it."""
         hits = index.neighbourhood.cache_info().hits
-        union, _ = index.neighbourhood(frozenset({f"E{i:02d}"}))
-        assert union == {f"d{i:02d}"}
+        union_size, counts = index.neighbourhood(frozenset({f"E{i:02d}"}))
+        assert union_size == 1 and counts == {f"E{i:02d}": 1, "X": 1}
         return index.neighbourhood.cache_info().hits > hits
 
     for i in range(64):
