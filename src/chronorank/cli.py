@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from typing import IO
 
-from .corpus import IngestReport, load_corpus, load_entity_catalog
+from .corpus import IngestReport, _UNPARSEABLE, load_corpus, load_entity_catalog
 from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query, period_of
 from .ranking import RankedResult, build_index, rank
 
@@ -95,7 +95,7 @@ def _load_query_file(path: str) -> dict[str, object]:
         raw = handle.read()
     try:
         record = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
+    except _UNPARSEABLE as exc:
         raise QueryError(f"query file is not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise QueryError("query file must hold a single JSON object")

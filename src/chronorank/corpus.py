@@ -40,8 +40,9 @@ _DATE_RE = re.compile(r"^(\d{4}-\d{2}-\d{2})([T ].*)?$")
 # re's \s matches exactly the characters str.isspace accepts.
 _BAD_ENTITY_CHAR_RE = re.compile(r"[\s\x00-\x1f\x7f]")
 # Tab, every line break str.splitlines knows and the other C0 and C1 controls:
-# in a document id they could split one tsv row into forged ones.
-_BAD_DOC_ID_CHAR_RE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+# in a document id they could split one tsv row into forged ones. A lone
+# surrogate, which a JSON escape can spell, has no UTF-8 form to print.
+_BAD_DOC_ID_CHAR_RE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
 # json.loads raises ValueError on bad JSON or too long an integer, RecursionError on deep nesting.
 _UNPARSEABLE = (ValueError, RecursionError)
 

@@ -97,11 +97,6 @@ class Query:
             raise QueryError(f"invalid top_k: {self.top_k!r} (must be a positive integer)")
 
 
-def expand_category(catalog: Mapping[EntityId, set[str]], category: str) -> set[EntityId]:
-    """All entities the catalog places in the given category."""
-    return {entity for entity, cats in catalog.items() if category in cats}
-
-
 QUERY_FIELDS = frozenset(
     {"entities", "categories", "semantics", "from", "to", "granularity", "beta", "top_k"}
 )
@@ -155,7 +150,7 @@ def parse_query(args: Mapping[str, object], catalog: Mapping[EntityId, set[str]]
     if categories and catalog is None:
         raise QueryError("categories need an entity catalog to expand them")
     for category in categories:
-        entities |= expand_category(catalog, category)
+        entities |= {entity for entity, tagged in catalog.items() if category in tagged}
     raw_semantics = args.get("semantics", Semantics.ALL.value)
     try:
         semantics = Semantics(raw_semantics)

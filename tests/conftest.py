@@ -3,8 +3,15 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from chronorank import cli
+
+# No per-example deadline: the first examples of a property pay for imports and
+# caches, and a shared host's timing varies. Built on the profile hypothesis
+# already loaded, so CI keeps its derandomized "ci" profile.
+settings.register_profile("chronorank", settings(), deadline=None)
+settings.load_profile("chronorank")
 
 DATA_DIR = Path(__file__).parent / "data"
 

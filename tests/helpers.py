@@ -6,11 +6,12 @@ import os
 import random
 import unicodedata
 from collections import Counter
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import chronorank
-from chronorank import Granularity, Query, QueryContext, Semantics
+from chronorank import Granularity, Query, QueryContext, Semantics, build_index, match_documents, period_of, rank
 from chronorank.corpus import (
     SKIP_DATELESS,
     SKIP_DUPLICATE,
@@ -22,6 +23,7 @@ from chronorank.corpus import (
     _records,
     is_valid_entity_id,
 )
+from chronorank.ranking import relativeness
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -59,6 +61,99 @@ def idf(ctx: QueryContext, entity: str) -> float:
     return 1.0 - inside / len(union)
 
 
+def check_ranking_invariants(corpus: Corpus, query: Query) -> Counter:
+    """Assert the model's invariants for the query's entities, range,
+    granularity and beta under both semantics, and return how many checks of
+    each kind ran: "ranked" queries with a match, "monotonicity" queries with
+    a strict relativeness rise, "ties" clone pairs ranked.
+
+    Each invariant is written here once; the seeded sweep of acceptance
+    criterion 3 and the hypothesis property both run it.
+    """
+    checks: Counter = Counter()
+    index = build_index(corpus)
+    by_semantics = {s: replace(query, semantics=s, top_k=None) for s in Semantics}
+    contexts = {s: match_documents(index, q) for s, q in by_semantics.items()}
+    rows = {s: rank(index, q) for s, q in by_semantics.items()}
+
+    # ANY can only widen the matched set
+    assert contexts[Semantics.ALL].matched <= contexts[Semantics.ANY].matched
+
+    for semantics, q in by_semantics.items():
+        ctx = contexts[semantics]
+        if not ctx.matched:
+            assert rows[semantics] == []
+            continue
+        checks["ranked"] += 1
+        matched = len(ctx.matched)
+
+        # period shares of the matched set sum to one
+        assert abs(sum(ctx.period_scores.values()) - 1.0) <= 1e-12
+
+        for row in rows[semantics]:
+            assert 0.0 < row.relativeness <= 1.0
+            assert 0.0 < row.timeliness <= 1.0
+            assert 0.0 <= row.relatedness_term < 1.0
+            assert 0.0 < row.total <= 1.0 + q.beta
+            assert row.total == row.timeliness * row.relativeness + q.beta * row.relatedness_term
+
+        # relatedness is idf times the co-occurrence summed in ascending
+        # period order, bit for bit, and so within rounding of idf times the
+        # overall rate
+        for entity in sorted(corpus.entity_universe - q.entities):
+            hits = set(index.docs_by_entity.get(entity, ())) & ctx.matched
+            per_period = Counter(period_of(index.doc_table[d].published_at, q.granularity) for d in hits)
+            ordered = 0.0
+            for key in sorted(per_period):
+                ordered += per_period[key] / matched
+            score = ctx.entity_scores.get(entity, 0.0)
+            assert score == idf(ctx, entity) * ordered
+            assert abs(score - idf(ctx, entity) * (len(hits) / matched)) <= 1e-12
+
+        # beta = 0 strips ranking back to timeliness * relativeness
+        plain_rows = rank(index, replace(q, beta=0.0))
+        assert plain_rows == sorted(plain_rows, key=lambda r: (-(r.timeliness * r.relativeness), r.doc_id))
+        for row in plain_rows:
+            assert row.total == row.timeliness * row.relativeness
+
+        # raising a named query entity's count raises relativeness strictly
+        # when the document mentions anything else, and leaves it at the
+        # coverage share otherwise
+        strict = False
+        for doc in map(index.doc_table.__getitem__, sorted(ctx.matched)):
+            named = sorted(q.entities.intersection(doc.mentions))
+            other_mass = sum(c for e, c in doc.mentions.items() if e not in q.entities)
+            before = relativeness(doc, q.entities)
+            for entity in named:
+                raised = replace(doc, mentions={**doc.mentions, entity: doc.mentions[entity] + 1})
+                after = relativeness(raised, q.entities)
+                if other_mass:
+                    assert after > before
+                    strict = True
+                else:
+                    assert after == before == len(named) / len(q.entities)
+        checks["monotonicity"] += strict
+
+        # ties break by ascending id: two clones of a matched document rank
+        # next to it in id order with its total
+        sample = index.doc_table[min(ctx.matched)]
+        clones = [replace(sample, id=clone_id) for clone_id in ("tie_a", "tie_b")]
+        widened = rank(build_index(Corpus(documents=[*corpus.documents, *clones])), q)
+        tied = [r for r in widened if r.doc_id in (sample.id, "tie_a", "tie_b")]
+        assert [r.doc_id for r in tied] == sorted([sample.id, "tie_a", "tie_b"])
+        assert tied[0].total == tied[1].total == tied[2].total
+        checks["ties"] += 1
+
+    # semantics only choose the matches: a document ALL matches carries the
+    # plain query share as its relativeness, bit for bit, under either
+    any_relativeness = {r.doc_id: r.relativeness for r in rows[Semantics.ANY]}
+    for row in rows[Semantics.ALL]:
+        doc = index.doc_table[row.doc_id]
+        hits = sum(doc.mentions[e] for e in query.entities)
+        assert row.relativeness == any_relativeness[row.doc_id] == hits / sum(doc.mentions.values())
+    return checks
+
+
 def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
     """Plain reference for parse_corpus's record checks: every mention's id
     goes through is_valid_entity_id, and nothing is shared between records.
@@ -81,12 +176,12 @@ def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
 
 def _reference_doc_id_ok(doc_id: object) -> bool:
     """A non-empty string with no control character (category Cc, which
-    holds tab and every C0 and C1 control) and no line or paragraph
-    separator (Zl, Zp)."""
+    holds tab and every C0 and C1 control), no line or paragraph separator
+    (Zl, Zp) and no lone surrogate (Cs)."""
     return (
         isinstance(doc_id, str)
         and bool(doc_id)
-        and all(unicodedata.category(ch) not in ("Cc", "Zl", "Zp") for ch in doc_id)
+        and all(unicodedata.category(ch) not in ("Cc", "Zl", "Zp", "Cs") for ch in doc_id)
     )
 
 

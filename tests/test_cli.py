@@ -85,19 +85,6 @@ def test_validate_with_catalog(run_cli, fixture_corpus_path, fixture_catalog_pat
     assert "catalog skipped: 0" in out
 
 
-def test_rank_explain_matches_golden_all(run_cli, fixture_corpus_path):
-    code, out, err = run_cli(*fixture_args(fixture_corpus_path, "--semantics", "all", "--explain"))
-    assert code == 0
-    assert err == ""
-    assert out == golden("rank_all_month.tsv")
-
-
-def test_rank_explain_matches_golden_any(run_cli, fixture_corpus_path):
-    code, out, _ = run_cli(*fixture_args(fixture_corpus_path, "--semantics", "any", "--explain"))
-    assert code == 0
-    assert out == golden("rank_any_month.tsv")
-
-
 @pytest.mark.parametrize("granularity", ["day", "week", "month", "year"])
 def test_rank_widest_range_explains_like_the_corpus_span(run_cli, fixture_corpus_path, granularity):
     """A range out to the calendar's ends changes neither the rows nor the exit."""
@@ -428,8 +415,30 @@ class Place(Enum):
 DATA_DIR = Path(__file__).parent / "data"
 
 
+# Text that now and then holds a lone surrogate: a JSON escape ("\ud800")
+# spells one, as a command line's undecodable bytes do, and no UTF-8 stream
+# can print it.
+def _text(max_size: int) -> st.SearchStrategy[str]:
+    lone = st.tuples(st.text(max_size=max_size - 1), st.characters(categories=["Cs"])).map("".join)
+    return st.text(max_size=max_size) | lone
+
+
 def _values(*plausible: str) -> st.SearchStrategy[str]:
-    return st.sampled_from(plausible) | st.text(max_size=8)
+    return st.sampled_from(plausible) | _text(8)
+
+
+def _main_through_a_pipe(argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in-process with stdout encoding strictly to UTF-8 bytes,
+    as a pipe's does; a StringIO would take any str and hide an encoding
+    fault. Returns (exit code, stdout, stderr)."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 ENTITIES = _values("ent:a", "ent:b", "ent:c", "ent:zz", "", " ", "\u3000", "ent a", "ent:\x00")
@@ -502,32 +511,28 @@ def argvs(draw) -> list[str | Place]:
     return argv
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(argv=argvs(), query_file=QUERY_FILES)
 def test_cli_boundary_exits_cleanly_on_hostile_input(argv, query_file):
     """Any argv and query file: exit 0, 1 or 2, no traceback on stderr, and
     nothing on stdout unless the run succeeded."""
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         (scratch / Place.EMPTY.value).write_bytes(b"")
         (scratch / Place.QUERY.value).write_bytes(query_file)
         paths = {Place.CORPUS: DATA_DIR / Place.CORPUS.value, Place.CATALOG: DATA_DIR / Place.CATALOG.value}
         argv = [str(paths.get(arg, scratch / arg.value)) if isinstance(arg, Place) else arg for arg in argv]
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage errors and --help
-                code = exc.code
+        code, out, err = _main_through_a_pipe(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert "Traceback" not in err, (argv, err)
     # validate prints its tallies before an empty corpus makes it exit 1
     if code != 0 and not (argv[:1] == ["validate"] and code == 1):
-        assert out.getvalue() == "", (argv, code, out.getvalue())
+        assert out == "", (argv, code, out)
 
 
-# Corpus lines whose ids are arbitrary text, control characters and line
-# breaks included, dated in January 1990 and naming some of A, B and C.
+# Corpus lines whose ids are arbitrary text, control characters, line breaks
+# and lone surrogates included, dated in January 1990 and naming some of A, B
+# and C.
 ARBITRARY_ID_LINES = st.lists(
     st.builds(
         lambda doc_id, day, entities: json.dumps({
@@ -535,7 +540,7 @@ ARBITRARY_ID_LINES = st.lists(
             "date": f"1990-01-{day:02d}",
             "mentions": [{"entity": e, "count": 1 + i} for i, e in enumerate(sorted(entities))],
         }),
-        st.text(max_size=6),
+        _text(6),
         st.integers(1, 31),
         st.sets(st.sampled_from("ABC"), max_size=3),
     ),
@@ -543,26 +548,40 @@ ARBITRARY_ID_LINES = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(lines=ARBITRARY_ID_LINES, semantics=st.sampled_from(["all", "any"]))
 def test_rank_tsv_prints_one_seven_field_line_per_row_whatever_the_ids(lines, semantics):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main([
-                "rank", str(path), "--entity", "A", "--entity", "B", "--semantics", semantics,
-                "--from", "1990-01-01", "--to", "1990-01-31", "--explain",
-            ])
-        if code != 0:
-            return
-        corpus, _ = load_corpus(path)
+        code, out, err = _main_through_a_pipe([
+            "rank", str(path), "--entity", "A", "--entity", "B", "--semantics", semantics,
+            "--from", "1990-01-01", "--to", "1990-01-31", "--explain",
+        ])
+        corpus, report = load_corpus(path)
+    # the one failure rank may have is a corpus with no usable line
+    assert code == 0 or report.accepted == 0, err
     query = Query(
         entities=frozenset({"A", "B"}), semantics=Semantics(semantics),
         start=date(1990, 1, 1), end=date(1990, 1, 31), granularity=Granularity.MONTH,
     )
-    rows = [line.split("\t") for line in out.getvalue().splitlines()]
+    rows = [line.split("\t") for line in out.splitlines()]
     assert all(len(row) == 7 for row in rows), rows
     assert [row[0] for row in rows] == [str(n) for n in range(1, len(rows) + 1)]
     assert len(rows) == len(rank(build_index(corpus), query))
+
+
+def test_a_lone_surrogate_id_is_malformed_not_half_printed(tmp_path):
+    """Such an id has no UTF-8 form, so ingest skips its line instead of
+    rank printing the rows before it and then failing."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": doc_id, "date": "1990-01-05", "mentions": [{"entity": "A", "count": 1}]}) + "\n"
+        for doc_id in ("a", "b\ud800")
+    ))
+    code, out, err = _main_through_a_pipe(["rank", str(path), "--entity", "A", "--from", "1990-01-01", "--to", "1990-01-31"])
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[1] for line in out.splitlines()] == ["a"]
+    code, out, _ = _main_through_a_pipe(["validate", str(path)])
+    assert code == 0
+    assert "malformed: 1" in out.splitlines()

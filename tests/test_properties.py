@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronorank import (
@@ -21,9 +21,8 @@ from chronorank import (
     rank,
 )
 from chronorank.corpus import Corpus, Document
-from chronorank.ranking import relativeness
 
-from helpers import idf
+from helpers import check_ranking_invariants
 
 POOL = ["A", "B", "C", "D", "E", "F"]
 WINDOW_START = date(1990, 1, 1)
@@ -71,51 +70,6 @@ def queries(draw) -> Query:
     )
 
 
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-def test_score_components_stay_in_bounds(corpus, query):
-    index = build_index(corpus)
-    for row in rank(index, query):
-        assert 0.0 < row.relativeness <= 1.0
-        assert 0.0 < row.timeliness <= 1.0
-        assert 0.0 <= row.relatedness_term < 1.0
-        assert 0.0 < row.total <= 1.0 + query.beta
-        assert row.total == row.timeliness * row.relativeness + query.beta * row.relatedness_term
-
-
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-def test_period_shares_sum_to_one_over_matched(corpus, query):
-    index = build_index(corpus)
-    ctx = match_documents(index, query)
-    assume(ctx.matched)
-    assert abs(sum(ctx.period_scores.values()) - 1.0) <= 1e-12
-
-
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-def test_relatedness_collapses_over_the_period_partition(corpus, query):
-    """Summing per-period co-occurrence over a partition of the matched set
-    equals the overall co-occurrence rate."""
-    index = build_index(corpus)
-    ctx = match_documents(index, query)
-    assume(ctx.matched)
-    extras = sorted(corpus.entity_universe - query.entities)
-    assume(extras)
-    for entity in extras:
-        hits = set(index.docs_by_entity.get(entity, ())) & ctx.matched
-        whole = len(hits) / len(ctx.matched)
-        score = ctx.entity_scores.get(entity, 0.0)
-        assert abs(score - idf(ctx, entity) * whole) <= 1e-12
-        # the documented order, bit for bit: ascending periods, divide each
-        # period's count, sum, then scale by idf
-        per_period = Counter(period_of(index.doc_table[d].published_at, query.granularity) for d in hits)
-        ordered = 0.0
-        for key in sorted(per_period):
-            ordered += per_period[key] / len(ctx.matched)
-        assert score == idf(ctx, entity) * ordered
-
-
 def _doc(index: int, offset: int, entities: str) -> Document:
     return Document(
         id=f"doc{index:03d}",
@@ -130,6 +84,33 @@ PER_PERIOD_ROUNDING = Corpus(
     documents=[_doc(0, 0, "AB"), _doc(1, 31, "AB"), _doc(2, 31, "AB")]
     + [_doc(i, 60, "A") for i in range(3, 10)]
 )
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+@example(
+    corpus=Corpus(documents=[_doc(0, 0, "AB"), _doc(1, 3, "A"), _doc(2, 40, "ABC"), _doc(3, 41, "BC")]),
+    query=Query(
+        entities=frozenset({"A", "B"}),
+        semantics=Semantics.ANY,
+        start=WINDOW_START,
+        end=WINDOW_START + timedelta(days=89),
+        granularity=Granularity.MONTH,
+    ),
+)
+@example(
+    corpus=PER_PERIOD_ROUNDING,
+    query=Query(
+        entities=frozenset({"A"}),
+        semantics=Semantics.ALL,
+        start=WINDOW_START,
+        end=WINDOW_START + timedelta(days=89),
+        granularity=Granularity.MONTH,
+    ),
+)
+def test_ranking_invariants_hold(corpus, query):
+    """The invariants acceptance criterion 3 sweeps by seed, over drawn corpora."""
+    check_ranking_invariants(corpus, query)
 
 
 @st.composite
@@ -152,7 +133,7 @@ def query_sequences(draw) -> list[Query]:
     return batch
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(corpus=corpora(), batch=query_sequences())
 def test_a_warm_index_ranks_like_a_fresh_one(corpus, batch):
     """One index shared by queries at mixed granularities, reusing
@@ -185,7 +166,7 @@ def crowded_corpora(draw) -> Corpus:
     ])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     corpus=crowded_corpora(),
     interest=st.sets(st.sampled_from(POOL + ["absent"]), min_size=1, max_size=3),
@@ -260,29 +241,14 @@ def wide_cases(draw) -> tuple[Corpus, Query]:
     return Corpus(documents=docs), query
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(case=wide_cases())
 def test_wide_queries_agree_with_brute_force(case):
     corpus, query = case
     assert rank(build_index(corpus), query) == oracle_rank(corpus, query)
 
 
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-def test_all_matches_are_contained_in_any_matches(corpus, query):
-    index = build_index(corpus)
-    strict = Query(
-        entities=query.entities, semantics=Semantics.ALL, start=query.start,
-        end=query.end, granularity=query.granularity, beta=query.beta,
-    )
-    loose = Query(
-        entities=query.entities, semantics=Semantics.ANY, start=query.start,
-        end=query.end, granularity=query.granularity, beta=query.beta,
-    )
-    assert match_documents(index, strict).matched <= match_documents(index, loose).matched
-
-
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(corpus=corpora(), query=queries(), bump=st.integers(min_value=1, max_value=9))
 def test_matching_ignores_mention_counts(corpus, query, bump):
     index = build_index(corpus)
@@ -299,71 +265,7 @@ def test_matching_ignores_mention_counts(corpus, query, bump):
     assert match_documents(bumped_index, query).matched == before
 
 
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-def test_beta_zero_orders_by_timeliness_times_relativeness(corpus, query):
-    plain = Query(
-        entities=query.entities, semantics=query.semantics, start=query.start,
-        end=query.end, granularity=query.granularity, beta=0.0,
-    )
-    index = build_index(corpus)
-    rows = rank(index, plain)
-    expected = sorted(rows, key=lambda r: (-(r.timeliness * r.relativeness), r.doc_id))
-    assert [r.doc_id for r in rows] == [r.doc_id for r in expected]
-    for row in rows:
-        assert row.total == row.timeliness * row.relativeness
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    mentions=st.dictionaries(st.sampled_from(POOL), counts, min_size=1, max_size=5),
-    extra=counts,
-)
-def test_increasing_a_query_count_raises_all_relativeness(mentions, extra):
-    interest = frozenset({"A"})
-    assume("A" in mentions)
-    other_mass = sum(c for e, c in mentions.items() if e != "A")
-    doc = Document(id="d", published_at=WINDOW_START, mentions=mentions)
-    raised = Document(
-        id="d", published_at=WINDOW_START,
-        mentions=dict(mentions, A=mentions["A"] + extra),
-    )
-    before = relativeness(doc, interest)
-    after = relativeness(raised, interest)
-    if other_mass > 0:
-        assert after > before
-    else:
-        assert after == before == 1.0
-
-
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-@example(
-    corpus=Corpus(documents=[_doc(0, 0, "AB"), _doc(1, 3, "A"), _doc(2, 40, "ABC"), _doc(3, 41, "BC")]),
-    query=Query(
-        entities=frozenset({"A", "B"}),
-        semantics=Semantics.ANY,
-        start=WINDOW_START,
-        end=WINDOW_START + timedelta(days=89),
-        granularity=Granularity.MONTH,
-    ),
-)
-def test_all_matches_score_the_same_relativeness_under_either_semantics(corpus, query):
-    """Semantics only choose the matched documents. A document an ALL query
-    matches names every query entity, so ANY's coverage factor is exactly 1
-    for it and both rankings carry the plain query share, bit for bit."""
-    index = build_index(corpus)
-    under = {
-        semantics: {row.doc_id: row.relativeness for row in rank(index, replace(query, semantics=semantics))}
-        for semantics in Semantics
-    }
-    for doc_id, rel in under[Semantics.ALL].items():
-        doc = index.doc_table[doc_id]
-        hits = sum(doc.mentions[e] for e in query.entities)
-        assert rel == under[Semantics.ANY][doc_id] == hits / sum(doc.mentions.values())
-
-
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(corpus=corpora(), query=queries(), top_k=st.sampled_from([None, 1, 3]))
 @example(
     corpus=PER_PERIOD_ROUNDING,
@@ -387,16 +289,7 @@ def test_engine_agrees_with_brute_force(corpus, query, top_k):
         assert final_score(ctx, index.doc_table[row.doc_id]) == row
 
 
-@settings(max_examples=120, deadline=None)
-@given(corpus=corpora(), query=queries())
-def test_ranking_is_deterministic_within_a_process(corpus, query):
-    index = build_index(corpus)
-    once = rank(index, query)
-    again = rank(build_index(corpus), query)
-    assert once == again
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     d1=st.one_of(st.dates(), st.sampled_from([date.min, date.max])),
     step=st.one_of(st.integers(0, 8), st.integers(0, date.max.toordinal())),

@@ -17,22 +17,12 @@ from chronorank import (
     parse_query,
     period_of,
 )
-from chronorank.query import expand_category
-
 from helpers import make_corpus, make_doc
 
 
 @pytest.fixture
 def seven_entity_catalog():
     return {f"ent:{i}": {"cat:wide"} if i < 4 else {"cat:narrow"} for i in range(7)}
-
-
-def test_expand_category_picks_the_tagged_entities(seven_entity_catalog):
-    assert expand_category(seven_entity_catalog, "cat:wide") == {f"ent:{i}" for i in range(4)}
-
-
-def test_expand_category_unknown_is_empty(seven_entity_catalog):
-    assert expand_category(seven_entity_catalog, "cat:nope") == set()
 
 
 BASE_ARGS = {"entities": ["ent:a"], "from": "1990-01-01", "to": "1990-03-31"}
@@ -63,10 +53,10 @@ def test_parse_query_rejects_empty_entity_set():
         parse_query({"from": "1990-01-01", "to": "1990-03-31"})
 
 
-def test_parse_query_rejects_unmatched_category():
+def test_parse_query_rejects_unmatched_category(seven_entity_catalog):
     args = {"categories": ["cat:nope"], "from": "1990-01-01", "to": "1990-03-31"}
     with pytest.raises(QueryError, match="no entities of interest"):
-        parse_query(args, catalog={})
+        parse_query(args, catalog=seven_entity_catalog)
 
 
 def test_parse_query_rejects_categories_without_a_catalog():
