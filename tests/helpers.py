@@ -6,7 +6,7 @@ import os
 import random
 import unicodedata
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from chronorank.corpus import (
     _records,
     is_valid_entity_id,
 )
-from chronorank.ranking import relativeness
+from chronorank.ranking import CorpusIndex, relativeness
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -61,48 +61,67 @@ def idf(ctx: QueryContext, entity: str) -> float:
     return 1.0 - inside / len(union)
 
 
-def check_ranking_invariants(corpus: Corpus, query: Query) -> Counter:
-    """Assert the model's invariants for the query's entities, range,
-    granularity and beta under both semantics, and return how many checks of
-    each kind ran: "ranked" queries with a match, "monotonicity" queries with
-    a strict relativeness rise, "ties" clone pairs ranked.
+@dataclass(frozen=True)
+class RankedBoth:
+    """One query with top_k cleared, matched and ranked under each semantics
+    over one index: what every invariant check below reads."""
 
-    Each invariant is written here once; the seeded sweep of acceptance
-    criterion 3 and the hypothesis property both run it.
-    """
-    checks: Counter = Counter()
+    corpus: Corpus
+    index: CorpusIndex
+    queries: dict[Semantics, Query]
+    contexts: dict[Semantics, QueryContext]
+    rows: dict[Semantics, list]
+
+    def ranked(self):
+        """(query, context, rows) for each semantics that matched something."""
+        return [(q, self.contexts[s], self.rows[s]) for s, q in self.queries.items() if self.contexts[s].matched]
+
+
+def rank_both(corpus: Corpus, query: Query) -> RankedBoth:
     index = build_index(corpus)
-    by_semantics = {s: replace(query, semantics=s, top_k=None) for s in Semantics}
-    contexts = {s: match_documents(index, q) for s, q in by_semantics.items()}
-    rows = {s: rank(index, q) for s, q in by_semantics.items()}
+    queries = {s: replace(query, semantics=s, top_k=None) for s in Semantics}
+    return RankedBoth(
+        corpus=corpus,
+        index=index,
+        queries=queries,
+        contexts={s: match_documents(index, q) for s, q in queries.items()},
+        rows={s: rank(index, q) for s, q in queries.items()},
+    )
 
-    # ANY can only widen the matched set
-    assert contexts[Semantics.ALL].matched <= contexts[Semantics.ANY].matched
 
-    for semantics, q in by_semantics.items():
-        ctx = contexts[semantics]
+def check_all_within_any(case: RankedBoth) -> None:
+    """ANY can only widen the matched set, and an empty match ranks []."""
+    assert case.contexts[Semantics.ALL].matched <= case.contexts[Semantics.ANY].matched
+    for semantics, ctx in case.contexts.items():
         if not ctx.matched:
-            assert rows[semantics] == []
-            continue
-        checks["ranked"] += 1
-        matched = len(ctx.matched)
+            assert case.rows[semantics] == []
 
-        # period shares of the matched set sum to one
+
+def check_period_shares(case: RankedBoth) -> None:
+    """The period shares of a matched set sum to one."""
+    for _, ctx, _ in case.ranked():
         assert abs(sum(ctx.period_scores.values()) - 1.0) <= 1e-12
 
-        for row in rows[semantics]:
+
+def check_row_bounds(case: RankedBoth) -> None:
+    """Every component in its range, and the total exactly t·r + β·term."""
+    for q, _, rows in case.ranked():
+        for row in rows:
             assert 0.0 < row.relativeness <= 1.0
             assert 0.0 < row.timeliness <= 1.0
             assert 0.0 <= row.relatedness_term < 1.0
             assert 0.0 < row.total <= 1.0 + q.beta
             assert row.total == row.timeliness * row.relativeness + q.beta * row.relatedness_term
 
-        # relatedness is idf times the co-occurrence summed in ascending
-        # period order, bit for bit, and so within rounding of idf times the
-        # overall rate
-        for entity in sorted(corpus.entity_universe - q.entities):
-            hits = set(index.docs_by_entity.get(entity, ())) & ctx.matched
-            per_period = Counter(period_of(index.doc_table[d].published_at, q.granularity) for d in hits)
+
+def check_relatedness_sums(case: RankedBoth) -> None:
+    """Relatedness is idf times the co-occurrence summed in ascending period
+    order, bit for bit, and so within rounding of idf times the overall rate."""
+    for q, ctx, _ in case.ranked():
+        matched = len(ctx.matched)
+        for entity in sorted(case.corpus.entity_universe - q.entities):
+            hits = set(case.index.docs_by_entity.get(entity, ())) & ctx.matched
+            per_period = Counter(period_of(case.index.doc_table[d].published_at, q.granularity) for d in hits)
             ordered = 0.0
             for key in sorted(per_period):
                 ordered += per_period[key] / matched
@@ -110,17 +129,24 @@ def check_ranking_invariants(corpus: Corpus, query: Query) -> Counter:
             assert score == idf(ctx, entity) * ordered
             assert abs(score - idf(ctx, entity) * (len(hits) / matched)) <= 1e-12
 
-        # beta = 0 strips ranking back to timeliness * relativeness
-        plain_rows = rank(index, replace(q, beta=0.0))
+
+def check_beta_zero(case: RankedBoth) -> None:
+    """beta = 0 strips ranking back to timeliness * relativeness."""
+    for q, _, _ in case.ranked():
+        plain_rows = rank(case.index, replace(q, beta=0.0))
         assert plain_rows == sorted(plain_rows, key=lambda r: (-(r.timeliness * r.relativeness), r.doc_id))
         for row in plain_rows:
             assert row.total == row.timeliness * row.relativeness
 
-        # raising a named query entity's count raises relativeness strictly
-        # when the document mentions anything else, and leaves it at the
-        # coverage share otherwise
+
+def check_monotonicity(case: RankedBoth) -> int:
+    """Raising a named query entity's count raises relativeness strictly when
+    the document mentions anything else, and leaves it at the coverage share
+    otherwise. Returns how many semantics saw a strict rise."""
+    rises = 0
+    for q, ctx, _ in case.ranked():
         strict = False
-        for doc in map(index.doc_table.__getitem__, sorted(ctx.matched)):
+        for doc in map(case.index.doc_table.__getitem__, sorted(ctx.matched)):
             named = sorted(q.entities.intersection(doc.mentions))
             other_mass = sum(c for e, c in doc.mentions.items() if e not in q.entities)
             before = relativeness(doc, q.entities)
@@ -132,26 +158,57 @@ def check_ranking_invariants(corpus: Corpus, query: Query) -> Counter:
                     strict = True
                 else:
                     assert after == before == len(named) / len(q.entities)
-        checks["monotonicity"] += strict
+        rises += strict
+    return rises
 
-        # ties break by ascending id: two clones of a matched document rank
-        # next to it in id order with its total
-        sample = index.doc_table[min(ctx.matched)]
+
+def check_tie_clones(case: RankedBoth) -> int:
+    """Ties break by ascending id: two clones of a matched document rank next
+    to it in id order with its total. Returns how many clone pairs ranked."""
+    ranked = case.ranked()
+    for q, ctx, _ in ranked:
+        sample = case.index.doc_table[min(ctx.matched)]
         clones = [replace(sample, id=clone_id) for clone_id in ("tie_a", "tie_b")]
-        widened = rank(build_index(Corpus(documents=[*corpus.documents, *clones])), q)
+        widened = rank(build_index(Corpus(documents=[*case.corpus.documents, *clones])), q)
         tied = [r for r in widened if r.doc_id in (sample.id, "tie_a", "tie_b")]
         assert [r.doc_id for r in tied] == sorted([sample.id, "tie_a", "tie_b"])
         assert tied[0].total == tied[1].total == tied[2].total
-        checks["ties"] += 1
+    return len(ranked)
 
-    # semantics only choose the matches: a document ALL matches carries the
-    # plain query share as its relativeness, bit for bit, under either
-    any_relativeness = {r.doc_id: r.relativeness for r in rows[Semantics.ANY]}
-    for row in rows[Semantics.ALL]:
-        doc = index.doc_table[row.doc_id]
-        hits = sum(doc.mentions[e] for e in query.entities)
+
+def check_semantics_share_relativeness(case: RankedBoth) -> None:
+    """Semantics only choose the matches: a document ALL matches carries the
+    plain query share as its relativeness, bit for bit, under either."""
+    any_relativeness = {r.doc_id: r.relativeness for r in case.rows[Semantics.ANY]}
+    entities = case.queries[Semantics.ALL].entities
+    for row in case.rows[Semantics.ALL]:
+        doc = case.index.doc_table[row.doc_id]
+        hits = sum(doc.mentions[e] for e in entities)
         assert row.relativeness == any_relativeness[row.doc_id] == hits / sum(doc.mentions.values())
-    return checks
+
+
+def check_ranking_invariants(corpus: Corpus, query: Query) -> Counter:
+    """Assert every invariant above for the query's entities, range,
+    granularity and beta under both semantics, and return how many checks of
+    each kind ran: "ranked" queries with a match, "monotonicity" queries with
+    a strict relativeness rise, "ties" clone pairs ranked.
+
+    Each invariant is written once, in its own check; the seeded sweep of
+    acceptance criterion 3 runs them all through this function, and the
+    hypothesis properties in test_properties.py run each over drawn corpora.
+    """
+    case = rank_both(corpus, query)
+    check_all_within_any(case)
+    check_period_shares(case)
+    check_row_bounds(case)
+    check_relatedness_sums(case)
+    check_beta_zero(case)
+    check_semantics_share_relativeness(case)
+    return Counter(
+        ranked=len(case.ranked()),
+        monotonicity=check_monotonicity(case),
+        ties=check_tie_clones(case),
+    )
 
 
 def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:

@@ -22,7 +22,17 @@ from chronorank import (
 )
 from chronorank.corpus import Corpus, Document
 
-from helpers import check_ranking_invariants
+from helpers import (
+    check_all_within_any,
+    check_beta_zero,
+    check_monotonicity,
+    check_period_shares,
+    check_relatedness_sums,
+    check_row_bounds,
+    check_semantics_share_relativeness,
+    check_tie_clones,
+    rank_both,
+)
 
 POOL = ["A", "B", "C", "D", "E", "F"]
 WINDOW_START = date(1990, 1, 1)
@@ -86,6 +96,56 @@ PER_PERIOD_ROUNDING = Corpus(
 )
 
 
+# Each property below runs one of the invariant checks that acceptance
+# criterion 3 runs all together over its seeded cases.
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+def test_score_components_stay_in_bounds(corpus, query):
+    check_row_bounds(rank_both(corpus, query))
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+def test_period_shares_sum_to_one_over_matched(corpus, query):
+    check_period_shares(rank_both(corpus, query))
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+@example(
+    corpus=PER_PERIOD_ROUNDING,
+    query=Query(
+        entities=frozenset({"A"}),
+        semantics=Semantics.ALL,
+        start=WINDOW_START,
+        end=WINDOW_START + timedelta(days=89),
+        granularity=Granularity.MONTH,
+    ),
+)
+def test_relatedness_collapses_over_the_period_partition(corpus, query):
+    check_relatedness_sums(rank_both(corpus, query))
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+def test_all_matches_are_contained_in_any_matches(corpus, query):
+    check_all_within_any(rank_both(corpus, query))
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+def test_beta_zero_orders_by_timeliness_times_relativeness(corpus, query):
+    check_beta_zero(rank_both(corpus, query))
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+def test_increasing_a_query_count_raises_all_relativeness(corpus, query):
+    check_monotonicity(rank_both(corpus, query))
+
+
 @settings(max_examples=120)
 @given(corpus=corpora(), query=queries())
 @example(
@@ -98,19 +158,14 @@ PER_PERIOD_ROUNDING = Corpus(
         granularity=Granularity.MONTH,
     ),
 )
-@example(
-    corpus=PER_PERIOD_ROUNDING,
-    query=Query(
-        entities=frozenset({"A"}),
-        semantics=Semantics.ALL,
-        start=WINDOW_START,
-        end=WINDOW_START + timedelta(days=89),
-        granularity=Granularity.MONTH,
-    ),
-)
-def test_ranking_invariants_hold(corpus, query):
-    """The invariants acceptance criterion 3 sweeps by seed, over drawn corpora."""
-    check_ranking_invariants(corpus, query)
+def test_all_matches_score_the_same_relativeness_under_either_semantics(corpus, query):
+    check_semantics_share_relativeness(rank_both(corpus, query))
+
+
+@settings(max_examples=120)
+@given(corpus=corpora(), query=queries())
+def test_tied_clones_rank_by_ascending_id(corpus, query):
+    check_tie_clones(rank_both(corpus, query))
 
 
 @st.composite
