@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+import threading
 from collections import Counter
 from typing import IO
 
-from .corpus import IngestReport, _UNPARSEABLE, load_corpus, load_entity_catalog
+from .corpus import Corpus, EntityId, IngestReport, _UNPARSEABLE, load_corpus, load_entity_catalog, load_in_parts
 from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query, period_of
 from .ranking import RankedResult, build_index, rank
 
@@ -67,6 +68,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A part smaller than this saves less than its process costs to start.
+_PART_FLOOR = 4 << 20
+
+
+def _ingest_parts(path: str) -> int:
+    """How many parts rank and validate ingest path in: one per CPU this
+    process may use, each of at least _PART_FLOOR bytes. One where os.fork
+    is missing, or unsafe because another thread is running."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, os.path.getsize(path) // _PART_FLOOR))
+
+
+def _load_kept(path: str, mentioning: frozenset[EntityId]) -> tuple[Corpus, IngestReport]:
+    """load_corpus(path, mentioning=mentioning), split into parts ingested
+    in parallel when the file is large enough to gain from it."""
+    parts = _ingest_parts(path)
+    if parts == 1:
+        return load_corpus(path, mentioning=mentioning)
+    return load_in_parts(path, mentioning, parts)
+
+
 def _print_report(report: IngestReport, out: IO[str]) -> None:
     print(f"accepted: {report.accepted}", file=out)
     print(f"skipped: {report.skipped}", file=out)
@@ -80,7 +107,7 @@ def _require_documents(report: IngestReport) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    _, report = load_corpus(args.corpus, mentioning=frozenset())  # the tallies alone
+    _, report = _load_kept(args.corpus, frozenset())  # the tallies alone
     if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
         catalog, cat_report = load_entity_catalog(args.catalog)
     _print_report(report, sys.stdout)
@@ -129,7 +156,7 @@ def cmd_rank(args: argparse.Namespace) -> None:
     catalog = load_entity_catalog(args.catalog)[0] if args.catalog is not None else None
     query = parse_query(fields, catalog=catalog)  # before the corpus, so a bad query fails fast
     # rank reads only documents that name a query entity, so ingest keeps no other.
-    corpus, report = load_corpus(args.corpus, mentioning=query.entities)
+    corpus, report = _load_kept(args.corpus, query.entities)
     _require_documents(report)
     _emit(rank(build_index(corpus), query), args.fmt, args.explain, sys.stdout)
 

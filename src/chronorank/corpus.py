@@ -16,13 +16,25 @@ A caller that needs only the documents naming some entities, as a query
 does, passes them as mentioning=. Every line is still decoded, checked and
 tallied, and its id still takes part in the duplicate rule; an accepted
 document that names none of them is counted and not kept.
+
+A file can also be read in byte-range parts, cut just after a line break,
+each part ingested on its own and the parts merged in file order
+(load_in_parts, which the CLI's rank and validate use). Only the duplicate
+rule reaches across lines, so the merge is exact: a part's first record of
+an id already accepted by an earlier part is a duplicate, not an accepted
+record, and that part's document for the id is dropped. The other skip
+reasons are tallied as they are, and a BOM is stripped only in the part that
+starts at byte 0.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import re
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
@@ -123,11 +135,12 @@ class IngestReport:
         return sum(self.reasons.values())
 
 
-def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
+def _records(source: LineSource, report: IngestReport, *, at_start: bool = True) -> Iterator[dict]:
     """Yield the JSON object on each non-blank line of source.
 
-    A BOM opening the first line is dropped. A line that is not UTF-8, not
-    JSON, or JSON but not an object is skipped and tallied malformed.
+    A BOM opening the first line is dropped when source starts the file
+    (at_start). A line that is not UTF-8, not JSON, or JSON but not an
+    object is skipped and tallied malformed.
     """
     for number, line in enumerate(source):
         if isinstance(line, bytes):
@@ -136,7 +149,7 @@ def _records(source: LineSource, report: IngestReport) -> Iterator[dict]:
             except UnicodeDecodeError:
                 report.reasons[SKIP_MALFORMED] += 1
                 continue
-        if number == 0:
+        if number == 0 and at_start:
             line = line.removeprefix("\ufeff")
         line = line.strip()
         if not line:
@@ -187,30 +200,20 @@ def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[
     return mentions
 
 
-def parse_corpus(
-    source: LineSource, *, mentioning: frozenset[EntityId] | None = None
-) -> tuple[Corpus, IngestReport]:
-    """Parse line-delimited document records into a Corpus.
-
-    Blank lines are ignored. A line is skipped and tallied rather than raised:
-    "malformed" for unparseable JSON or a bad id/mentions field, "dateless" for a
-    missing or unparseable date, "duplicate" for a repeated document id (the
-    first record wins). Time-of-day suffixes on dates are truncated.
-
-    With mentioning set, an accepted record that names none of its entities
-    is tallied accepted, and its id still shadows later records, but no
-    Document is built for it. The report does not depend on mentioning.
-
-    Returns the corpus together with the ingest report.
-    """
-    report = IngestReport()
+def _parse_records(
+    records: Iterable[dict],
+    report: IngestReport,
+    mentioning: frozenset[EntityId] | None,
+    known: dict[EntityId, EntityId],
+) -> tuple[list[Document], set[str]]:
+    """Ingest one run of records: return the documents to keep, in order,
+    and the set of ids accepted, tallying into report."""
     documents: list[Document] = []
     seen: set[str] = set()
     # Corpora repeat dates, so each distinct date string is parsed once and
     # its documents share one date object.
     days: dict[str, date | None] = {}
-    known: dict[EntityId, EntityId] = {}
-    for record in _records(source, report):
+    for record in records:
         doc_id = record.get("id")
         if not isinstance(doc_id, str) or not doc_id or _BAD_DOC_ID_CHAR_RE.search(doc_id):
             report.reasons[SKIP_MALFORMED] += 1
@@ -236,6 +239,27 @@ def parse_corpus(
         report.accepted += 1
         if mentioning is None or not mentioning.isdisjoint(mentions):
             documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
+    return documents, seen
+
+
+def parse_corpus(
+    source: LineSource, *, mentioning: frozenset[EntityId] | None = None
+) -> tuple[Corpus, IngestReport]:
+    """Parse line-delimited document records into a Corpus.
+
+    Blank lines are ignored. A line is skipped and tallied rather than raised:
+    "malformed" for unparseable JSON or a bad id/mentions field, "dateless" for a
+    missing or unparseable date, "duplicate" for a repeated document id (the
+    first record wins). Time-of-day suffixes on dates are truncated.
+
+    With mentioning set, an accepted record that names none of its entities
+    is tallied accepted, and its id still shadows later records, but no
+    Document is built for it. The report does not depend on mentioning.
+
+    Returns the corpus together with the ingest report.
+    """
+    report = IngestReport()
+    documents, _ = _parse_records(_records(source, report), report, mentioning, {})
     return Corpus(documents=documents), report
 
 
@@ -269,6 +293,159 @@ def load_corpus(
     propagate to the caller."""
     with open(path, "rb") as handle:
         return parse_corpus(handle, mentioning=mentioning)
+
+
+# One part's result: its documents to keep, the ids it accepted, its tallies.
+_Part = tuple[list[Document], set[str], IngestReport]
+
+
+def _span_lines(handle: IO[bytes], start: int, end: int) -> Iterator[bytes]:
+    """The lines of handle from byte start, a line start, up to byte end."""
+    handle.seek(start)
+    if start < end:
+        for line in handle:
+            yield line
+            start += len(line)
+            if start >= end:
+                return
+
+
+def _ingest_span(
+    handle: IO[bytes], start: int, end: int, mentioning: frozenset[EntityId] | None, known: dict[EntityId, EntityId]
+) -> _Part:
+    """Ingest the lines between byte offsets start and end, each just after a
+    line break or at an end of the file."""
+    report = IngestReport()
+    records = _records(_span_lines(handle, start, end), report, at_start=start == 0)
+    documents, ids = _parse_records(records, report, mentioning, known)
+    return documents, ids, report
+
+
+def _merge(parts: Iterable[_Part]) -> tuple[Corpus, IngestReport]:
+    """Merge the parts of one file, in file order, into what parse_corpus
+    gives for the whole file."""
+    report = IngestReport()
+    documents: list[Document] = []
+    # Each part's own id set, never their union: a union would be one more
+    # set as large as all of them.
+    earlier: list[set[str]] = []
+    for part_documents, ids, part_report in parts:
+        # An id an earlier part accepted makes this part's first record of it
+        # a duplicate; the part's later records of it are duplicates already.
+        shadowed = set().union(*(ids & other for other in earlier))
+        report.accepted += part_report.accepted - len(shadowed)
+        report.reasons.update(part_report.reasons)
+        if shadowed:
+            report.reasons[SKIP_DUPLICATE] += len(shadowed)
+            part_documents = [d for d in part_documents if d.id not in shadowed]
+        documents += part_documents
+        earlier.append(ids)
+    return Corpus(documents=documents), report
+
+
+def _spans(handle: IO[bytes], parts: int) -> list[tuple[int, int]]:
+    """Cut the file into at most parts byte ranges of about equal size, each
+    cut just after a line break."""
+    size = os.fstat(handle.fileno()).st_size
+    cuts = set()
+    for number in range(1, parts):
+        handle.seek(max(size * number // parts - 1, 0))
+        handle.readline()
+        cuts.add(handle.tell())
+    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < size), size]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fork_part(
+    handle: IO[bytes], span: tuple[int, int], mentioning: frozenset[EntityId] | None
+) -> tuple[int, IO[bytes]] | None:
+    """Ingest span in a child process. Return the child's pid and the pipe
+    its pickled part comes through, or None if no child could be started."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # The child never returns into the caller's code: whatever happens,
+        # it exits here, and an exit other than 0 makes the parent redo the part.
+        status = 1
+        try:
+            os.close(read_fd)
+            documents, ids, report = _ingest_span(handle, *span, mentioning, {})
+            rows = [(d.id, d.published_at, d.mentions) for d in documents]
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((rows, ids, report), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pid: int, pipe: IO[bytes]) -> bytes:
+    """Read a child's payload to EOF and reap the child; b"" unless it
+    exited 0."""
+    with pipe:
+        payload = pipe.read()
+    return payload if os.waitpid(pid, 0)[1] == 0 else b""
+
+
+def _unpickle_part(payload: bytes, known: dict[EntityId, EntityId]) -> _Part | None:
+    """Rebuild a child's part, keying its mention maps through known so that
+    every document shares one string per entity id. None if the payload
+    does not decode."""
+    try:
+        rows, ids, report = pickle.loads(payload)
+    except Exception:  # a payload cut short can fail in any of several ways
+        return None
+    documents = [
+        Document(id=doc_id, published_at=day, mentions={known.setdefault(e, e): n for e, n in mentions.items()})
+        for doc_id, day, mentions in rows
+    ]
+    return documents, ids, report
+
+
+def load_in_parts(
+    path: str | Path, mentioning: frozenset[EntityId] | None, parts: int
+) -> tuple[Corpus, IngestReport]:
+    """Read a corpus file as load_corpus does, in up to parts byte ranges
+    ingested in parallel: parts - 1 forked children and this process.
+
+    The result equals load_corpus's. A part whose child cannot be started,
+    exits other than 0 or sends a payload that does not decode is ingested
+    here instead. Every child is reaped before this returns or raises. With
+    parts above 1 it needs os.fork: call it so only from a process with no
+    other thread.
+    """
+    with ExitStack() as stack:
+        # One handle per part, opened before any fork: every part reads the
+        # same file, and no two parts share a file offset.
+        handles = [stack.enter_context(open(path, "rb")) for _ in range(parts)]
+        spans = _spans(handles[0], parts)
+        children: list[tuple[int, IO[bytes]] | None] = []
+        try:
+            for handle, span in zip(handles[1:], spans[1:]):
+                children.append(_fork_part(handle, span, mentioning))
+            known: dict[EntityId, EntityId] = {}
+            results = [_ingest_span(handles[0], *spans[0], mentioning, known)]
+            for number, (handle, span) in enumerate(zip(handles[1:], spans[1:])):
+                child, part = children[number], None
+                if child is not None:
+                    part = _unpickle_part(_receive(*child), known)
+                    children[number] = None
+                results.append(part if part is not None else _ingest_span(handle, *span, mentioning, known))
+        finally:
+            # Closing the pipes first lets a child still writing fail and
+            # exit, so no wait below can hang.
+            unreaped = [child for child in children if child is not None]
+            for _, pipe in unreaped:
+                pipe.close()
+            for pid, _ in unreaped:
+                os.waitpid(pid, 0)
+        return _merge(results)
 
 
 def load_entity_catalog(path: str | Path) -> tuple[dict[EntityId, set[str]], IngestReport]:

@@ -14,8 +14,6 @@ assert agreement bit for bit: every row equal with ==.
 
 from __future__ import annotations
 
-from datetime import date
-
 from .corpus import Corpus, Document, EntityId
 from .query import Query, Semantics, period_of
 from .ranking import RankedResult, ScoreBreakdown

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,19 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids os.fork returns in this process during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
 from enum import Enum
@@ -382,6 +384,56 @@ def test_rank_into_a_closed_pipe_exits_two_silently(tmp_path):
         proc.kill()  # does nothing once the child has exited
     assert proc.returncode == 2
     assert err == b""
+
+
+@pytest.fixture
+def in_parts(monkeypatch, forked):
+    """The CLI splitting even a one-line corpus into up to four parts; the
+    pids it forks."""
+    monkeypatch.setattr(cli, "_PART_FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return forked
+
+
+def test_cli_ingest_in_parts_leaves_no_child_process(run_cli, fixture_corpus_path, tmp_path, in_parts):
+    assert cli._ingest_parts(str(fixture_corpus_path)) == 4
+    assert run_cli(*fixture_args(fixture_corpus_path, "--explain")) == (0, golden("rank_all_month.tsv"), "")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(json.dumps({"id": i, "date": "1990-01-01", "mentions": []}) + "\n" for i in "abcab"))
+    assert run_cli("validate", str(mixed)) == (0, "accepted: 3\nskipped: 2\nduplicate: 2\n", "")
+    junk = tmp_path / "junk.jsonl"
+    junk.write_text("junk\n" * 8)
+    assert run_cli("rank", str(junk), *RANK_FLAGS) == (1, "", "error: no documents ingested\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = sys.stdout
+    with open(write_end, "w") as closed:
+        sys.stdout = closed
+        try:
+            code = cli.main(fixture_args(fixture_corpus_path))
+        finally:
+            sys.stdout = stdout
+    assert code == 2
+    assert len(in_parts) == 4 * 3  # each of the four runs forks three parts
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_with_a_live_thread_ingests_in_one_part(run_cli, fixture_corpus_path, in_parts):
+    # Forking with another thread running can deadlock the child, and from
+    # Python 3.12 warns; filterwarnings = error turns that warning into a failure.
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        parts = cli._ingest_parts(str(fixture_corpus_path))
+        result = run_cli(*fixture_args(fixture_corpus_path, "--explain"))
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert (parts, in_parts) == (1, [])
+    assert result == (0, golden("rank_all_month.tsv"), "")
 
 
 def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import date
 
@@ -13,7 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronorank import Granularity, build_index, load_corpus, parse_corpus, parse_entity_catalog, rank
-from chronorank.corpus import SKIP_DATELESS, SKIP_DUPLICATE, SKIP_MALFORMED, Corpus, is_valid_entity_id
+from chronorank import corpus as corpus_module
+from chronorank.corpus import (
+    SKIP_DATELESS,
+    SKIP_DUPLICATE,
+    SKIP_MALFORMED,
+    Corpus,
+    _ingest_span,
+    _merge,
+    is_valid_entity_id,
+    load_in_parts,
+)
 
 from helpers import make_doc, random_case, reference_parse_corpus
 
@@ -282,6 +294,127 @@ def test_ingest_matches_the_reference_parser(lines):
     assert report.accepted == len(documents)
 
 
+def fields(corpus, report):
+    """Everything ingest returns, field for field: document order, mention
+    order, accepted and the reason tallies (with no zero tally)."""
+    documents = [(d.id, d.published_at, list(d.mentions.items())) for d in corpus.documents]
+    return documents, report.accepted, dict(report.reasons)
+
+
+def ingest_between(path, cuts, mentioning):
+    """Ingest path's byte ranges between the cuts one by one, in this
+    process, and merge them."""
+    bounds = [0, *cuts, os.path.getsize(path)]
+    known = {}
+    with open(path, "rb") as handle:
+        parts = [_ingest_span(handle, start, end, mentioning, known) for start, end in zip(bounds, bounds[1:])]
+    return _merge(parts)
+
+
+@settings(max_examples=200)
+@given(
+    lines=st.lists(
+        pool_records.map(json.dumps)
+        | near_records.map(json.dumps)
+        | pool_records.map(lambda r: "\ufeff" + json.dumps(r))
+        | st.sampled_from(["", "  "]),
+        max_size=6,
+    ),
+    crlf=st.lists(st.booleans(), min_size=12, max_size=12),
+    final_newline=st.booleans(),
+    mentioning=st.sampled_from([None, frozenset({"ent:a"})]),
+    data=st.data(),
+)
+def test_parts_merge_into_what_the_whole_file_gives(lines, crlf, final_newline, mentioning, data):
+    # Every line comes twice, so an id can recur in a later part.
+    lines = lines + lines
+    endings = ["\r\n" if c else "\n" for c in crlf[: len(lines)]]
+    if lines and not final_newline:
+        endings[-1] = ""
+    raw = [(line + ending).encode("utf-8") for line, ending in zip(lines, endings)]
+    breaks = [sum(map(len, raw[:n])) for n in range(len(raw) + 1)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "corpus.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b"".join(raw))
+        whole = fields(*load_corpus(path, mentioning=mentioning))
+        for parts in range(1, 5):
+            cuts = sorted(data.draw(st.lists(st.sampled_from(breaks), min_size=parts - 1, max_size=parts - 1)))
+            assert fields(*ingest_between(path, cuts, mentioning)) == whole, cuts
+
+
+@pytest.mark.parametrize(
+    "first,second,expected",
+    [
+        # skipped as dateless before the cut, so the id's record after it is the first
+        (
+            [record("a1", "1990-02-30", [("ent:x", 1)])],
+            [record("a1", "1990-02-11", [("ent:x", 2)])],
+            ([("a1", date(1990, 2, 11), [("ent:x", 2)])], 1, {SKIP_DATELESS: 1}),
+        ),
+        # accepted before the cut, then repeated twice after it
+        (
+            [record("a1", "1990-02-11", [("ent:x", 1)])],
+            [record("a1", "1990-02-12", [("ent:x", 2)]), record("a1", "1990-02-13", [("ent:y", 3)])],
+            ([("a1", date(1990, 2, 11), [("ent:x", 1)])], 1, {SKIP_DUPLICATE: 2}),
+        ),
+    ],
+    ids=["dateless-then-accepted", "accepted-then-two-duplicates"],
+)
+def test_the_duplicate_rule_reaches_across_a_cut(tmp_path, first, second, expected):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in first + second))
+    cut = len("".join(line + "\n" for line in first).encode("utf-8"))
+    assert fields(*ingest_between(path, [cut], None)) == expected
+    assert fields(*load_corpus(path)) == expected
+
+
+def three_part_corpus(path):
+    """A corpus whose ids recur across thirds of the file, with a BOM, CRLF,
+    blank, malformed and dateless lines."""
+    lines = []
+    for i in range(30):
+        lines.append(record(f"d{i % 11}", "1990-02-30" if i % 7 == 3 else f"1990-02-{1 + i % 28:02d}",
+                            [("ent:x", 1 + i % 3), (f"ent:{i % 5}", 1)][: 1 + i % 2]))
+        if i % 9 == 4:
+            lines += ["", "not json"]
+    path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
+@pytest.mark.parametrize("mentioning", [None, frozenset(), frozenset({"ent:x"}), frozenset({"ent:2"})])
+def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, forked, mentioning):
+    path = tmp_path / "corpus.jsonl"
+    three_part_corpus(path)
+    assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize("failure", ["raises", "sends-garbage"])
+def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, monkeypatch, failure):
+    path = tmp_path / "corpus.jsonl"
+    three_part_corpus(path)
+    parent = os.getpid()
+    parse_records, dump = corpus_module._parse_records, corpus_module.pickle.dump
+
+    def raising_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a child's ingest fails")
+        return parse_records(*args)
+
+    def garbage_from_a_child(obj, pipe, **kwargs):
+        if os.getpid() == parent:
+            return dump(obj, pipe, **kwargs)
+        pipe.write(b"not a pickle")
+
+    if failure == "raises":
+        monkeypatch.setattr(corpus_module, "_parse_records", raising_in_a_child)
+    else:
+        monkeypatch.setattr(corpus_module.pickle, "dump", garbage_from_a_child)
+    mentioning = frozenset({"ent:x"})
+    assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
+    assert len(forked) == 2
+
+
 def corpus_lines(corpus: Corpus) -> list[str]:
     return [
         record(d.id, d.published_at.isoformat(), list(d.mentions.items())) for d in corpus.documents
@@ -383,17 +516,22 @@ def test_mentions_are_rekeyed_in_sorted_order():
     assert list(doc.mentions) == ["ent:a", "ent:z"]
 
 
-def test_equal_entity_ids_share_one_string():
+def test_equal_entity_ids_share_one_string(tmp_path, forked):
     lines = [
         record("a1", "1990-02-11", [("ent:x", 1), ("ent:y", 2)]),
         record("a2", "1990-02-12", [("ent:y", 1), ("ent:x", 3)]),
         record("a3", "1990-02-13", [("ent:z", 1), ("ent:y", 1)]),
     ]
-    corpus, _ = parse_corpus(lines)
-    shared = {id(e) for d in corpus.documents for e in d.mentions}
-    assert len(shared) == len(corpus.entity_universe) == 3
-    index = build_index(corpus)
-    assert {id(e) for e in index.docs_by_entity} == shared
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    # The whole run of lines at once, then one line per part, two of them forked.
+    for corpus, _ in (parse_corpus(lines), load_in_parts(path, None, 3)):
+        assert len(corpus) == 3
+        shared = {id(e) for d in corpus.documents for e in d.mentions}
+        assert len(shared) == len(corpus.entity_universe) == 3
+        index = build_index(corpus)
+        assert {id(e) for e in index.docs_by_entity} == shared
+    assert len(forked) == 2
 
 
 def test_document_has_no_instance_dict():
