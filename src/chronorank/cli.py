@@ -87,7 +87,8 @@ def _ingest_parts(path: str) -> int:
 
 def _load_kept(path: str, mentioning: frozenset[EntityId]) -> tuple[Corpus, IngestReport]:
     """load_corpus(path, mentioning=mentioning), split into parts ingested
-    in parallel when the file is large enough to gain from it."""
+    in parallel when the file is large enough to gain from it. A part that
+    keeps most of what it accepts is ingested in this process instead."""
     parts = _ingest_parts(path)
     if parts == 1:
         return load_corpus(path, mentioning=mentioning)

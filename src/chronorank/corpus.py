@@ -205,10 +205,11 @@ def _parse_records(
     report: IngestReport,
     mentioning: frozenset[EntityId] | None,
     known: dict[EntityId, EntityId],
-) -> tuple[list[Document], set[str]]:
-    """Ingest one run of records: return the documents to keep, in order,
-    and the set of ids accepted, tallying into report."""
-    documents: list[Document] = []
+    documents: list[Document],
+) -> set[str]:
+    """Ingest one run of records: append the documents to keep to
+    documents, in order, tally into report, and return the set of ids
+    accepted."""
     seen: set[str] = set()
     # Corpora repeat dates, so each distinct date string is parsed once and
     # its documents share one date object.
@@ -239,7 +240,7 @@ def _parse_records(
         report.accepted += 1
         if mentioning is None or not mentioning.isdisjoint(mentions):
             documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
-    return documents, seen
+    return seen
 
 
 def parse_corpus(
@@ -259,7 +260,8 @@ def parse_corpus(
     Returns the corpus together with the ingest report.
     """
     report = IngestReport()
-    documents, _ = _parse_records(_records(source, report), report, mentioning, {})
+    documents: list[Document] = []
+    _parse_records(_records(source, report), report, mentioning, {}, documents)
     return Corpus(documents=documents), report
 
 
@@ -316,9 +318,20 @@ def _ingest_span(
     """Ingest the lines between byte offsets start and end, each just after a
     line break or at an end of the file."""
     report = IngestReport()
+    documents: list[Document] = []
     records = _records(_span_lines(handle, start, end), report, at_start=start == 0)
-    documents, ids = _parse_records(records, report, mentioning, known)
+    ids = _parse_records(records, report, mentioning, known, documents)
     return documents, ids, report
+
+
+def _while_sparse(records: Iterator[dict], report: IngestReport, documents: list[Document]) -> Iterator[dict]:
+    """records, cut short once the documents kept pass half of the records
+    accepted: checked every 1024 records, so that a part that keeps most of
+    what it reads stops early."""
+    for number, record in enumerate(records, 1):
+        if number % 1024 == 0 and 2 * len(documents) > report.accepted:
+            return
+        yield record
 
 
 def _merge(parts: Iterable[_Part]) -> tuple[Corpus, IngestReport]:
@@ -360,8 +373,12 @@ def _fork_part(
     handle: IO[bytes], span: tuple[int, int], mentioning: frozenset[EntityId] | None
 ) -> tuple[int, IO[bytes]] | None:
     """Ingest span in a child process. Return the child's pid and the pipe
-    its pickled part comes through, or None if no child could be started."""
-    read_fd, write_fd = os.pipe()
+    its pickled part comes through, empty if the part is the parent's to
+    ingest, or None if no child could be started."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:  # no file descriptor left, say
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -374,10 +391,17 @@ def _fork_part(
         status = 1
         try:
             os.close(read_fd)
-            documents, ids, report = _ingest_span(handle, *span, mentioning, {})
-            rows = [(d.id, d.published_at, d.mentions) for d in documents]
+            report = IngestReport()
+            documents: list[Document] = []
+            records = _records(_span_lines(handle, *span), report, at_start=False)
+            ids = _parse_records(_while_sparse(records, report, documents), report, mentioning, {}, documents)
             with open(write_fd, "wb") as pipe:
-                pickle.dump((rows, ids, report), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                # Sending a document back and rebuilding it costs nearly as
+                # much as parsing its line, so a part that keeps more than
+                # half of what it accepts sends nothing: the parent ingests it.
+                if 2 * len(documents) <= report.accepted:
+                    rows = [(d.id, d.published_at, d.mentions) for d in documents]
+                    pickle.dump((rows, ids, report), pipe, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -395,8 +419,8 @@ def _receive(pid: int, pipe: IO[bytes]) -> bytes:
 
 def _unpickle_part(payload: bytes, known: dict[EntityId, EntityId]) -> _Part | None:
     """Rebuild a child's part, keying its mention maps through known so that
-    every document shares one string per entity id. None if the payload
-    does not decode."""
+    every document shares one string per entity id. None if the payload is
+    empty or does not decode."""
     try:
         rows, ids, report = pickle.loads(payload)
     except Exception:  # a payload cut short can fail in any of several ways
@@ -416,9 +440,11 @@ def load_in_parts(
 
     The result equals load_corpus's. A part whose child cannot be started,
     exits other than 0 or sends a payload that does not decode is ingested
-    here instead. Every child is reaped before this returns or raises. With
-    parts above 1 it needs os.fork: call it so only from a process with no
-    other thread.
+    here instead, as is a part that keeps more than half of the records it
+    accepts: with mentioning=None every part does, so this gains only when
+    mentioning keeps few documents. Every child is reaped before this
+    returns or raises. With parts above 1 it needs os.fork: call it so only
+    from a process with no other thread.
     """
     with ExitStack() as stack:
         # One handle per part, opened before any fork: every part reads the
@@ -434,8 +460,9 @@ def load_in_parts(
             for number, (handle, span) in enumerate(zip(handles[1:], spans[1:])):
                 child, part = children[number], None
                 if child is not None:
-                    part = _unpickle_part(_receive(*child), known)
-                    children[number] = None
+                    payload = _receive(*child)
+                    children[number] = None  # reaped
+                    part = _unpickle_part(payload, known)
                 results.append(part if part is not None else _ingest_span(handle, *span, mentioning, known))
         finally:
             # Closing the pipes first lets a child still writing fail and

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -21,8 +22,11 @@ from chronorank.corpus import (
     SKIP_DUPLICATE,
     SKIP_MALFORMED,
     Corpus,
+    IngestReport,
     _ingest_span,
     _merge,
+    _parse_records,
+    _while_sparse,
     is_valid_entity_id,
     load_in_parts,
 )
@@ -381,12 +385,49 @@ def three_part_corpus(path):
     path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
-@pytest.mark.parametrize("mentioning", [None, frozenset(), frozenset({"ent:x"}), frozenset({"ent:2"})])
-def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, forked, mentioning):
+@pytest.fixture
+def payloads(monkeypatch):
+    """The payload load_in_parts receives from each child, in part order."""
+    received = []
+    receive = corpus_module._receive
+
+    def recording_receive(pid, pipe):
+        received.append(receive(pid, pipe))
+        return received[-1]
+
+    monkeypatch.setattr(corpus_module, "_receive", recording_receive)
+    return received
+
+
+# Every record of three_part_corpus names ent:x, and one in ten names ent:2.
+# A child sends its part back only if it keeps at most half of what it
+# accepts; otherwise it sends nothing and the parent ingests the part.
+@pytest.mark.parametrize(
+    "mentioning,sent",
+    [(None, False), (frozenset(), True), (frozenset({"ent:x"}), False), (frozenset({"ent:2"}), True)],
+)
+def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, forked, payloads, mentioning, sent):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
     assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
     assert len(forked) == 2
+    assert [payload != b"" for payload in payloads] == [sent, sent]
+
+
+def dense_records(count, kept_every):
+    """count accepted records; one in kept_every names ent:x."""
+    return [
+        {"id": f"d{i}", "date": "1990-02-11", "mentions": [{"entity": "ent:x" if i % kept_every == 0 else "ent:y", "count": 1}]}
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("kept_every,accepted", [(1, 1023), (3, 3000)])
+def test_a_run_that_keeps_most_of_what_it_accepts_is_cut_short(kept_every, accepted):
+    report, documents = IngestReport(), []
+    records = iter(dense_records(3000, kept_every))
+    _parse_records(_while_sparse(records, report, documents), report, frozenset({"ent:x"}), {}, documents)
+    assert report.accepted == accepted
 
 
 @pytest.mark.parametrize("failure", ["raises", "sends-garbage"])
@@ -410,9 +451,40 @@ def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, mo
         monkeypatch.setattr(corpus_module, "_parse_records", raising_in_a_child)
     else:
         monkeypatch.setattr(corpus_module.pickle, "dump", garbage_from_a_child)
-    mentioning = frozenset({"ent:x"})
+    mentioning = frozenset({"ent:2"})  # few enough that each child sends its part
     assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
     assert len(forked) == 2
+
+
+def test_a_part_with_no_pipe_is_ingested_by_the_parent(tmp_path, forked, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    three_part_corpus(path)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    mentioning = frozenset({"ent:2"})
+    assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
+    assert forked == []
+
+
+def test_an_error_after_a_child_is_reaped_propagates_unchanged(tmp_path, forked, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    three_part_corpus(path)
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted(payload, known):
+        raise Interrupted
+
+    monkeypatch.setattr(corpus_module, "_unpickle_part", interrupted)
+    with pytest.raises(Interrupted):
+        load_in_parts(path, frozenset({"ent:2"}), 3)
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):  # every child is reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def corpus_lines(corpus: Corpus) -> list[str]:
@@ -516,22 +588,27 @@ def test_mentions_are_rekeyed_in_sorted_order():
     assert list(doc.mentions) == ["ent:a", "ent:z"]
 
 
-def test_equal_entity_ids_share_one_string(tmp_path, forked):
-    lines = [
+def test_equal_entity_ids_share_one_string(tmp_path, forked, payloads):
+    kept = [
         record("a1", "1990-02-11", [("ent:x", 1), ("ent:y", 2)]),
         record("a2", "1990-02-12", [("ent:y", 1), ("ent:x", 3)]),
         record("a3", "1990-02-13", [("ent:z", 1), ("ent:y", 1)]),
     ]
+    # Each followed by a line of the same length that mentioning drops, so
+    # each third of the file keeps half of what it accepts and a forked
+    # part sends its document back.
+    lines = [line for i, a in enumerate(kept) for line in (a, record(f"b{i}", "1990-02-14", [("ent:v", 1), ("ent:w", 2)]))]
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
-    # The whole run of lines at once, then one line per part, two of them forked.
-    for corpus, _ in (parse_corpus(lines), load_in_parts(path, None, 3)):
-        assert len(corpus) == 3
+    mentioning = frozenset({"ent:x", "ent:y", "ent:z"})
+    # The whole run of lines at once, then two lines per part, two parts forked.
+    for corpus, _ in (parse_corpus(lines, mentioning=mentioning), load_in_parts(path, mentioning, 3)):
+        assert [d.id for d in corpus.documents] == ["a1", "a2", "a3"]
         shared = {id(e) for d in corpus.documents for e in d.mentions}
         assert len(shared) == len(corpus.entity_universe) == 3
         index = build_index(corpus)
         assert {id(e) for e in index.docs_by_entity} == shared
-    assert len(forked) == 2
+    assert len(forked) == 2 and all(payloads)
 
 
 def test_document_has_no_instance_dict():
