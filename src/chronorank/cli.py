@@ -15,7 +15,7 @@ import threading
 from collections import Counter
 from typing import IO
 
-from .corpus import Corpus, EntityId, IngestReport, _UNPARSEABLE, load_corpus, load_entity_catalog, load_in_parts
+from .corpus import Corpus, EntityId, IngestReport, _UNPARSEABLE, _load_naming, load_corpus, load_entity_catalog, load_in_parts
 from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query, period_of
 from .ranking import RankedResult, build_index, rank
 
@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--category", dest="categories", metavar="CATEGORY", action="append", default=omit,
                         help="category to expand (repeatable)")
     p_rank.add_argument("--semantics", default=omit, help="all or any (default all)")
-    p_rank.add_argument("--from", default=omit, help="range start, YYYY-MM-DD")
-    p_rank.add_argument("--to", default=omit, help="range end, YYYY-MM-DD")
+    p_rank.add_argument("--from", default=omit, help="range start, YYYY-MM-DD (required unless --query-file is given)")
+    p_rank.add_argument("--to", default=omit, help="range end, YYYY-MM-DD (required unless --query-file is given)")
     p_rank.add_argument("--granularity", default=omit, help="day, week, month or year (default month)")
     p_rank.add_argument("--beta", default=omit, help="related-entity weight (default 0.5)")
     p_rank.add_argument("--top", dest="top_k", default=omit, help="emit at most this many rows")
@@ -154,11 +154,18 @@ def cmd_rank(args: argparse.Namespace) -> None:
         if fields:
             raise QueryError("--query-file cannot be combined with query flags")
         fields = _load_query_file(args.query_file)
+    else:
+        for name in ("from", "to"):
+            if name not in fields:
+                raise QueryError(f"missing --{name} date (required unless --query-file is given)")
     catalog = load_entity_catalog(args.catalog)[0] if args.catalog is not None else None
     query = parse_query(fields, catalog=catalog)  # before the corpus, so a bad query fails fast
-    # rank reads only documents that name a query entity, so ingest keeps no other.
-    corpus, report = _load_kept(args.corpus, query.entities)
-    _require_documents(report)
+    # rank reads only documents that name a query entity, so ingest keeps no
+    # other, and reads in full only the lines that can change which it keeps.
+    corpus = _load_naming(args.corpus, query.entities)
+    if corpus is None:  # only the tallies of a whole read tell an empty answer from an empty corpus
+        corpus, report = _load_kept(args.corpus, query.entities)
+        _require_documents(report)
     _emit(rank(build_index(corpus), query), args.fmt, args.explain, sys.stdout)
 
 

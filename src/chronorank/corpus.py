@@ -17,19 +17,29 @@ does, passes them as mentioning=. Every line is still decoded, checked and
 tallied, and its id still takes part in the duplicate rule; an accepted
 document that names none of them is counted and not kept.
 
+The CLI's rank needs those documents, and the tallies only to tell an
+empty answer from a file with no usable line, so it first reads in full
+only the lines that can change which are kept (_load_naming). A line with
+no backslash spells each JSON string as its UTF-8 bytes, so unless it shows
+a query entity as an "entity" value it is not a kept document. It can still
+take a kept document's id first, so the lines that show such an id as an
+"id" value before that document are read in full too. The documents kept
+are load_corpus's, in the same order.
+
 A file can also be read in byte-range parts, cut just after a line break,
 each part ingested on its own and the parts merged in file order
-(load_in_parts, which the CLI's rank and validate use). Only the duplicate
-rule reaches across lines, so the merge is exact: a part's first record of
-an id already accepted by an earlier part is a duplicate, not an accepted
-record, and that part's document for the id is dropped. The other skip
-reasons are tallied as they are, and a BOM is stripped only in the part that
-starts at byte 0.
+(load_in_parts, which the CLI's validate uses, and rank when no line it
+reads in full is accepted). Only the duplicate rule reaches across lines,
+so the merge is exact: a part's first record of an id already accepted by
+an earlier part is a duplicate, not an accepted record, and that part's
+document for the id is dropped. The other skip reasons are tallied as they
+are, and a BOM is stripped only in the part that starts at byte 0.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import re
@@ -473,6 +483,79 @@ def load_in_parts(
             for pid, _ in unreaped:
                 os.waitpid(pid, 0)
         return _merge(results)
+
+
+# An "entity" or "id" key and its string value. In a line with no backslash,
+# each JSON string's bytes are its UTF-8 value and cannot hold a quote, so a
+# record with such a key and value always shows it in this form; JSON allows
+# only these four whitespace bytes around the colon.
+_ENTITY_VALUE_RE = re.compile(rb'"entity"[ \t\n\r]*:[ \t\n\r]*"([^"]*)"')
+_ID_VALUE_RE = re.compile(rb'"id"[ \t\n\r]*:[ \t\n\r]*"([^"]*)"')
+
+
+def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> Corpus | None:
+    """The documents load_corpus(path, mentioning=entities) keeps, in the
+    same order; only the lines that can change them are read in full, with
+    every check. None if it keeps none and no line it reads is accepted:
+    then only a whole read can tell whether the file has a usable line.
+
+    A candidate line holds a backslash or an "entity" value in entities: no
+    other line can be a kept document. Line 0 is read as well, so a BOM is
+    stripped from it alone. Once more than half of the lines read so far are
+    candidates (checked every 1024 lines), the test saves less than it costs,
+    and every later line is read. Any other line can change the answer only
+    by being accepted with the id of a later kept document, which it then
+    shadows: so a second pass looks for a line before a kept document's with
+    an "id" value equal to its id, and if there is one, the lines read and
+    those lines are ingested again, in file order.
+    """
+    # A lone surrogate has no UTF-8 form, and its surrogatepass bytes can
+    # only match a line that is not UTF-8, so reading that line changes nothing.
+    wanted = frozenset(entity.encode("utf-8", "surrogatepass") for entity in entities)
+    report = IngestReport()
+    documents: list[Document] = []
+    read: set[int] = set()  # the numbers of the lines read, before read_from
+    read_from: float = math.inf  # every line from here on is read
+    # Each kept document's id, in UTF-8, and its line, or read_from. An id
+    # with a lone surrogate is malformed, so every kept id has a UTF-8 form.
+    kept_at: dict[bytes, int] = {}
+    with open(path, "rb") as handle:
+
+        def candidates() -> Iterator[bytes]:
+            nonlocal read_from
+            for number, line in enumerate(handle):
+                if number == 0 or b"\\" in line or not wanted.isdisjoint(_ENTITY_VALUE_RE.findall(line)):
+                    read.add(number)
+                    kept = len(documents)
+                    yield line
+                    # Resumed only once the record on this line, if any, is ingested.
+                    if len(documents) > kept:
+                        kept_at[documents[-1].id.encode("utf-8")] = number
+                if number % 1024 == 1023 and 2 * len(read) > number:
+                    read_from = number + 1
+                    kept = len(documents)
+                    yield from handle
+                    kept_at.update((document.id.encode("utf-8"), read_from) for document in documents[kept:])
+                    return
+
+        _parse_records(_records(candidates(), report), report, entities, {}, documents)
+        if not documents:
+            return Corpus(documents=documents) if report.accepted else None
+        shadowing = False
+        handle.seek(0)
+        for number, line in zip(range(max(kept_at.values())), handle):
+            if number not in read:
+                ids = _ID_VALUE_RE.findall(line)
+                if not kept_at.keys().isdisjoint(ids) and any(kept_at.get(doc_id, -1) > number for doc_id in ids):
+                    read.add(number)
+                    shadowing = True
+        if shadowing:
+            report = IngestReport()
+            documents = []
+            handle.seek(0)
+            lines = (line for number, line in enumerate(handle) if number in read or number >= read_from)
+            _parse_records(_records(lines, report), report, entities, {}, documents)
+    return Corpus(documents=documents)
 
 
 def load_entity_catalog(path: str | Path) -> tuple[dict[EntityId, set[str]], IngestReport]:

@@ -233,6 +233,22 @@ def test_rank_requires_dates(run_cli, fixture_corpus_path):
     assert "date" in err
 
 
+@pytest.mark.parametrize("missing", ["from", "to"])
+def test_rank_names_the_missing_date_flag(run_cli, fixture_corpus_path, tmp_path, capsys, missing):
+    flags = {"--from": "1984-05-01", "--to": "1984-06-30"}
+    del flags[f"--{missing}"]
+    code, out, err = run_cli("rank", str(fixture_corpus_path), "--entity", "ent:a", *flags.popitem())
+    assert (code, out, err) == (1, "", f"error: missing --{missing} date (required unless --query-file is given)\n")
+    qfile = tmp_path / "query.json"
+    qfile.write_text(json.dumps({"entities": ["ent:a"], {"from": "to", "to": "from"}[missing]: "1984-05-01"}))
+    code, out, err = run_cli("rank", str(fixture_corpus_path), "--query-file", str(qfile))
+    assert (code, out, err) == (1, "", f"error: missing or non-string '{missing}' date\n")
+    with pytest.raises(SystemExit):
+        cli.main(["rank", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert help_text.count("(required unless --query-file is given)") == 2
+
+
 def test_rank_requires_entities(run_cli, fixture_corpus_path):
     code, _, err = run_cli(
         "rank", str(fixture_corpus_path), "--from", "1984-05-01", "--to", "1984-06-30"
@@ -247,6 +263,63 @@ def test_rank_empty_corpus_exits_one(run_cli, tmp_path):
     code, _, err = run_cli("rank", str(path), *RANK_FLAGS[2:], "--entity", "ent:a")
     assert code == 1
     assert "no documents" in err
+
+
+@pytest.fixture
+def full_ingests(monkeypatch):
+    """The corpora rank reads whole through cli._load_kept."""
+    paths = []
+    load_kept = cli._load_kept
+
+    def recording_load_kept(path, mentioning):
+        paths.append(path)
+        return load_kept(path, mentioning)
+
+    monkeypatch.setattr(cli, "_load_kept", recording_load_kept)
+    return paths
+
+
+def test_rank_reads_the_whole_corpus_only_when_no_line_it_reads_is_accepted(run_cli, fixture_corpus_path, tmp_path, full_ingests):
+    # Nothing names the entity. Line 0, which is always read, is accepted in
+    # the fixture, so the answer is empty (exit 0). Otherwise the tallies of a
+    # whole read tell an empty answer from a corpus with no usable line (exit 1).
+    ghost = ["--entity", "ent:ghost", "--from", "1984-05-01", "--to", "1984-06-30"]
+    assert run_cli("rank", str(fixture_corpus_path), *ghost) == (0, "", "")
+    assert full_ingests == []
+    junk = tmp_path / "junk.jsonl"
+    junk.write_text('junk\n{"id": "x", "mentions": [{"entity": "ent:ghost", "count": 1}]}\n')
+    assert run_cli("rank", str(junk), *ghost) == (1, "", "error: no documents ingested\n")
+    late = tmp_path / "late.jsonl"
+    late.write_text("junk\n" + fixture_corpus_path.read_text())
+    assert run_cli("rank", str(late), *ghost) == (0, "", "")
+    assert full_ingests == [str(junk), str(late)]
+    full_ingests.clear()
+    assert run_cli(*fixture_args(fixture_corpus_path, "--explain")) == (0, golden("rank_all_month.tsv"), "")
+    assert full_ingests == []
+
+
+def test_rank_drops_a_document_whose_id_an_earlier_line_took(run_cli, tmp_path, full_ingests):
+    # d1 first comes on a line that names no query entity, so its later line,
+    # which names one, is a duplicate; the \u0031 spells d1 with an escape.
+    # Line 0 is always read in full, so d1 comes after it.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in (
+        json.dumps({"id": "d0", "date": "1990-01-01", "mentions": [{"entity": "B", "count": 1}]}),
+        json.dumps({"id": "d1", "date": "1990-01-02", "mentions": [{"entity": "B", "count": 1}]}),
+        json.dumps({"id": "d2", "date": "1990-01-03", "mentions": [{"entity": "A", "count": 2}, {"entity": "B", "count": 1}]}),
+        json.dumps({"id": "d1", "date": "1990-01-04", "mentions": [{"entity": "A", "count": 5}]}),
+        '{"id": "d\\u0031", "date": "1990-01-05", "mentions": [{"entity": "A", "count": 7}]}',
+        json.dumps({"id": "d3", "date": "1990-01-06", "mentions": [{"entity": "A", "count": 1}]}),
+    )))
+    flags = ["--entity", "A", "--from", "1990-01-01", "--to", "1990-01-31", "--explain"]
+    code, out, err = run_cli("rank", str(path), *flags)
+    query = Query(entities=frozenset({"A"}), semantics=Semantics.ALL, start=date(1990, 1, 1),
+                  end=date(1990, 1, 31), granularity=Granularity.MONTH)
+    expected = io.StringIO()
+    cli._emit(rank(build_index(load_corpus(path)[0]), query), "tsv", True, expected)
+    assert (code, out, err) == (0, expected.getvalue(), "")
+    assert sorted(line.split("\t")[1] for line in out.splitlines()) == ["d2", "d3"]
+    assert full_ingests == []
 
 
 def test_rank_missing_corpus_exits_two(run_cli, tmp_path):
@@ -414,7 +487,10 @@ def test_cli_ingest_in_parts_leaves_no_child_process(run_cli, fixture_corpus_pat
         finally:
             sys.stdout = stdout
     assert code == 2
-    assert len(in_parts) == 4 * 3  # each of the four runs forks three parts
+    # validate forks three parts, and so does the rank of a corpus with no
+    # usable line, which reads it whole; a rank that accepts a line it reads
+    # needs no whole read and forks nothing.
+    assert len(in_parts) == 2 * 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronorank import Granularity, build_index, load_corpus, parse_corpus, parse_entity_catalog, rank
@@ -24,6 +24,7 @@ from chronorank.corpus import (
     Corpus,
     IngestReport,
     _ingest_span,
+    _load_naming,
     _merge,
     _parse_records,
     _while_sparse,
@@ -485,6 +486,164 @@ def test_an_error_after_a_child_is_reaped_propagates_unchanged(tmp_path, forked,
     assert len(forked) == 2
     with pytest.raises(ChildProcessError):  # every child is reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# Records under a few shared ids, naming ent:a, ent:b, ent:é or a lone
+# surrogate, or else ent:c, which no query names: so a kept document can be
+# shadowed by an earlier line that names no query entity, or repeated by a
+# later one.
+naming_records = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["a1", "a2"]),
+        "date": st.sampled_from(["1990-02-11", "1990-02-12", "1990-02-30"]),
+        "mentions": st.lists(
+            st.fixed_dictionaries(
+                {"entity": st.sampled_from(["ent:a", "ent:a", "ent:b", "ent:\u00e9", "ent:\ud800"]), "count": st.sampled_from([1, 2])}
+            ),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda item: item["entity"],
+        ),
+    }
+)
+bystander_records = st.builds(
+    lambda doc_id: {"id": doc_id, "date": "1990-02-11", "mentions": [{"entity": "ent:c", "count": 1}]},
+    st.sampled_from(["a1", "a2"]),
+)
+# Ways to spell a record's JSON that a byte-level filter must see through.
+SPELLINGS = [
+    lambda text: text,
+    lambda text: text.replace('"ent:a"', '"\\u0065nt:a"'),  # escaped entity value
+    lambda text: text.replace('"a1"', '"\\u00611"'),  # escaped id value
+    lambda text: text.replace('": ', '" \t:\r '),  # whitespace around the colon
+    lambda text: text.replace("}", ', "x": {"id": "a2", "entity": "ent:a"}}', 1),  # nested keys
+    lambda text: '{"id": "a3", ' + text[1:],  # a repeated id key, the first one
+    lambda text: text[:-1] + ', "id": "a2"}',  # a repeated id key, the last one
+]
+BOM = b"\xef\xbb\xbf"
+
+
+def spelt(record, ensure_ascii, spelling, prefix, suffix):
+    text = spelling(json.dumps(record, ensure_ascii=ensure_ascii))
+    return prefix + text.encode("utf-8", "surrogatepass") + suffix
+
+
+filter_lines = st.builds(
+    spelt,
+    st.one_of(naming_records, naming_records, bystander_records, pool_records | near_records),
+    st.booleans(),
+    st.sampled_from(SPELLINGS),
+    st.sampled_from([b"", b"", b"", BOM]),
+    st.sampled_from([b"", b"", b"", b"", b"\xff"]),  # invalid UTF-8
+)
+
+
+def mostly_candidates(size):
+    """size lines, three in four naming ent:a, ent:b and ent:é, escaped; the
+    others name ent:c, the first of them under id a3."""
+    return [
+        record("a3" if i == 3 else f"q{i}", "1990-02-11", [("ent:c", 1)]) if i % 4 == 3
+        else record(f"p{i}", "1990-02-11", [("ent:a", 1), ("ent:b", 1), ("ent:\u00e9", 1)])
+        for i in range(size)
+    ]
+
+
+def kept_fields(corpus):
+    return [] if corpus is None else fields(corpus, IngestReport())[0]
+
+
+def naming(doc_id, entity="ent:a"):
+    return record(doc_id, "1990-02-11", [(entity, 1)]).encode("utf-8")
+
+
+def filter_example(lines, entities="ent:a", start=0):
+    return example(
+        lines=lines, crlf=[False] * 10, final_newline=True, entities=frozenset({entities}), start=start
+    )
+
+
+@settings(max_examples=300)
+# After line 0, which is always read: a1 taken by the line just before its
+# line that names ent:a, spelt plainly or with an escape. A BOM on the first
+# line read after line 0. a1 taken at line 1023, the last line tested, with
+# a document kept after it.
+@filter_example([b"{}", naming("a1", "ent:c"), naming("a1")])
+@filter_example([b"{}", naming("a1", "ent:c"), naming("a1").replace(b'"a1"', b'"\\u00611"')])
+@filter_example([naming("a2", "ent:c"), BOM + naming("a1")])
+@filter_example([b"{}", b"{}", b"{}", naming("a1", "ent:c"), naming("a1"), naming("a2")], start=1020)
+@given(
+    lines=st.lists(filter_lines, min_size=2, max_size=10),
+    crlf=st.lists(st.booleans(), min_size=10, max_size=10),
+    final_newline=st.booleans(),
+    entities=st.sampled_from(["ent:a", "ent:a", "ent:b", "ent:a ent:b", "ent:\u00e9", "ent:\ud800", "ent:zz"]).map(
+        lambda names: frozenset(names.split())
+    ),
+    # With 1020 lines before them, the test stops at the fourth drawn line.
+    start=st.sampled_from([0, 0, 0, 1020]),
+)
+def test_reading_the_candidate_lines_keeps_what_load_corpus_keeps(lines, crlf, final_newline, entities, start):
+    endings = [b"\r\n" if c else b"\n" for c in crlf[: len(lines)]]
+    if lines and not final_newline:
+        endings[-1] = b""
+    raw = [line.encode("utf-8") + b"\n" for line in mostly_candidates(start)]
+    raw += [line + ending for line, ending in zip(lines, endings)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "corpus.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b"".join(raw))
+        expected, accepted, _ = fields(*load_corpus(path, mentioning=entities))
+        kept = _load_naming(path, entities)
+    assert kept_fields(kept) == expected
+    # None only when nothing is kept; a corpus, even an empty one, only when
+    # the file has a usable line.
+    assert kept is not None or expected == []
+    assert kept is None or accepted > 0
+
+
+class CountingFindall:
+    """A compiled pattern whose findall calls are counted."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def findall(self, line):
+        self.calls += 1
+        return self.pattern.findall(line)
+
+
+def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path, monkeypatch):
+    test = CountingFindall(corpus_module._ENTITY_VALUE_RE)
+    monkeypatch.setattr(corpus_module, "_ENTITY_VALUE_RE", test)
+    later = [
+        record(f"r{i}", "1990-02-12", [("ent:a" if i % 5 == 0 else "ent:d", 1)]) for i in range(2000)
+    ]
+    # a3 is taken at line 3, which names no query entity, so these are duplicates
+    later[1501] = record("a3", "1990-02-13", [("ent:a", 2)])
+    later[1701] = record("a3", "1990-02-14", [("ent:a", 3)])
+    # and line 1023, the last line tested, takes s1
+    later[3] = record("s1", "1990-02-13", [("ent:d", 1)])
+    later[1801] = record("s1", "1990-02-14", [("ent:a", 1)])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in mostly_candidates(1020) + later))
+    entities = frozenset({"ent:a"})
+    expected = fields(*load_corpus(path, mentioning=entities))[0]
+    assert kept_fields(_load_naming(path, entities)) == expected
+    assert len(expected) == 765 + 400 and not {"a3", "s1"} & {doc_id for doc_id, _, _ in expected}
+    # Only lines 1 to 1023 with no backslash are tested: the prefix's 255
+    # that name ent:c and the first 4 of the later lines.
+    assert test.calls == 255 + 4
+
+
+def test_a_start_with_a_third_candidates_is_tested_throughout(tmp_path, monkeypatch):
+    test = CountingFindall(corpus_module._ENTITY_VALUE_RE)
+    monkeypatch.setattr(corpus_module, "_ENTITY_VALUE_RE", test)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(
+        record(f"d{i}", "1990-02-11", [("ent:a" if i % 3 == 0 else "ent:b", 1)]) + "\n" for i in range(3000)
+    ))
+    entities = frozenset({"ent:a"})
+    assert kept_fields(_load_naming(path, entities)) == fields(*load_corpus(path, mentioning=entities))[0]
+    assert test.calls == 2999  # every line but line 0, which is read untested
 
 
 def corpus_lines(corpus: Corpus) -> list[str]:
