@@ -10,6 +10,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -556,28 +557,59 @@ def naming(doc_id, entity="ent:a"):
     return record(doc_id, "1990-02-11", [(entity, 1)]).encode("utf-8")
 
 
-def filter_example(lines, entities="ent:a", start=0):
-    return example(
-        lines=lines, crlf=[False] * 10, final_newline=True, entities=frozenset({entities}), start=start
-    )
+# Query entities that no line names: with them, a query has more entities
+# than _load_naming finds by byte scans, so it tests each line instead.
+PADDING = frozenset(f"ent:p{i}" for i in range(corpus_module._FIND_ENTITIES))
+
+
+def filter_example(lines, entities=frozenset({"ent:a"}), start=0):
+    return example(lines=lines, crlf=[False] * 10, final_newline=True, entities=entities, start=start)
+
+
+# The query entities a filter test draws: up to two, found by byte scans, or
+# the same with PADDING, tested line by line.
+filter_entities = st.builds(
+    lambda names, padded: frozenset(names.split()) | (PADDING if padded else frozenset()),
+    st.sampled_from(["ent:a", "ent:a", "ent:b", "ent:a ent:b", "ent:\u00e9", "ent:\ud800", "ent:zz"]),
+    st.booleans(),
+)
+
+
+def written(folder, raw):
+    path = os.path.join(folder, "corpus.jsonl")
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    return path
+
+
+def assert_keeps_what_load_corpus_keeps(path, entities):
+    expected, accepted, _ = fields(*load_corpus(path, mentioning=entities))
+    kept = _load_naming(path, entities)
+    assert kept_fields(kept) == expected
+    # None only when nothing is kept; a corpus, even an empty one, only when
+    # the file has a usable line.
+    assert kept is not None or expected == []
+    assert kept is None or accepted > 0
 
 
 @settings(max_examples=300)
 # After line 0, which is always read: a1 taken by the line just before its
 # line that names ent:a, spelt plainly or with an escape. A BOM on the first
 # line read after line 0. a1 taken at line 1023, the last line tested, with
-# a document kept after it.
+# a document kept after it: with one entity, found by byte scans, and with
+# PADDING, tested line by line up to there.
 @filter_example([b"{}", naming("a1", "ent:c"), naming("a1")])
 @filter_example([b"{}", naming("a1", "ent:c"), naming("a1").replace(b'"a1"', b'"\\u00611"')])
 @filter_example([naming("a2", "ent:c"), BOM + naming("a1")])
 @filter_example([b"{}", b"{}", b"{}", naming("a1", "ent:c"), naming("a1"), naming("a2")], start=1020)
+@filter_example(
+    [b"{}", b"{}", b"{}", naming("a1", "ent:c"), naming("a1"), naming("a2")], entities=PADDING | {"ent:a"}, start=1020
+)
 @given(
     lines=st.lists(filter_lines, min_size=2, max_size=10),
     crlf=st.lists(st.booleans(), min_size=10, max_size=10),
     final_newline=st.booleans(),
-    entities=st.sampled_from(["ent:a", "ent:a", "ent:b", "ent:a ent:b", "ent:\u00e9", "ent:\ud800", "ent:zz"]).map(
-        lambda names: frozenset(names.split())
-    ),
+    entities=filter_entities,
     # With 1020 lines before them, the test stops at the fourth drawn line.
     start=st.sampled_from([0, 0, 0, 1020]),
 )
@@ -588,16 +620,54 @@ def test_reading_the_candidate_lines_keeps_what_load_corpus_keeps(lines, crlf, f
     raw = [line.encode("utf-8") + b"\n" for line in mostly_candidates(start)]
     raw += [line + ending for line, ending in zip(lines, endings)]
     with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "corpus.jsonl")
-        with open(path, "wb") as handle:
-            handle.write(b"".join(raw))
-        expected, accepted, _ = fields(*load_corpus(path, mentioning=entities))
-        kept = _load_naming(path, entities)
-    assert kept_fields(kept) == expected
-    # None only when nothing is kept; a corpus, even an empty one, only when
-    # the file has a usable line.
-    assert kept is not None or expected == []
-    assert kept is None or accepted > 0
+        assert_keeps_what_load_corpus_keeps(written(folder, b"".join(raw)), entities)
+
+
+@settings(max_examples=200)
+# A gap of two blocks whose second line takes a1 first. An "id" value left
+# open, which the scan of a gap must not run on into the next line, where a1
+# is taken first. Lines longer than a block, blocks cut between \r and \n,
+# and a BOM on a later line, which only line 0 loses.
+@example(
+    lines=[b"{}\n", naming("a3", "ent:c") + b"\n", naming("a1", "ent:c") + b"\n", naming("a1") + b"\n"],
+    final_newline=True,
+    entities=frozenset({"ent:a"}),
+    block=1,
+)
+@example(
+    lines=[b"{}\n", b'{"id": "x\n', naming("a1", "ent:c") + b"\n", naming("a1") + b"\n"],
+    final_newline=True,
+    entities=frozenset({"ent:a"}),
+    block=64,
+)
+@example(
+    lines=[naming("a1", "ent:c") + b"\r\n", BOM + naming("a1") + b"\n", naming("a2")],
+    final_newline=False,
+    entities=frozenset({"ent:a"}),
+    block=7,
+)
+@example(
+    lines=[BOM + naming("a1") + b"\r\n", BOM + naming("a2") + b"\r\n"],
+    final_newline=True,
+    entities=PADDING | {"ent:a"},
+    block=1,
+)
+@given(
+    lines=st.lists(
+        st.tuples(filter_lines, st.sampled_from([b"\n", b"\r\n", b"\r\n"])).map(b"".join), min_size=1, max_size=8
+    ),
+    final_newline=st.booleans(),
+    entities=filter_entities,
+    block=st.sampled_from([1, 7, 64]),
+)
+def test_candidate_lines_cut_across_blocks_keep_what_load_corpus_keeps(lines, final_newline, entities, block):
+    # Blocks this small cut inside a line, between \r and \n and inside a
+    # needle; most lines are longer than a block.
+    raw = b"".join(lines)
+    if not final_newline:
+        raw = raw.rstrip(b"\r\n")
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(corpus_module, "_BLOCK", block):
+        assert_keeps_what_load_corpus_keeps(written(folder, raw), entities)
 
 
 class CountingFindall:
@@ -606,14 +676,21 @@ class CountingFindall:
     def __init__(self, pattern):
         self.pattern, self.calls = pattern, 0
 
-    def findall(self, line):
+    def findall(self, *args):
         self.calls += 1
-        return self.pattern.findall(line)
+        return self.pattern.findall(*args)
 
 
-def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path, monkeypatch):
-    test = CountingFindall(corpus_module._ENTITY_VALUE_RE)
-    monkeypatch.setattr(corpus_module, "_ENTITY_VALUE_RE", test)
+@pytest.fixture
+def counted(monkeypatch):
+    """The counted findall of _ENTITY_VALUE_RE and _ID_VALUE_RE, by name."""
+    patterns = {name: CountingFindall(getattr(corpus_module, name)) for name in ("_ENTITY_VALUE_RE", "_ID_VALUE_RE")}
+    for name, pattern in patterns.items():
+        monkeypatch.setattr(corpus_module, name, pattern)
+    return patterns
+
+
+def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path, counted):
     later = [
         record(f"r{i}", "1990-02-12", [("ent:a" if i % 5 == 0 else "ent:d", 1)]) for i in range(2000)
     ]
@@ -625,25 +702,44 @@ def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path,
     later[1801] = record("s1", "1990-02-14", [("ent:a", 1)])
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(line + "\n" for line in mostly_candidates(1020) + later))
-    entities = frozenset({"ent:a"})
+    # More entities than byte scans find, so each line is tested until the switch.
+    entities = PADDING | {"ent:a"}
     expected = fields(*load_corpus(path, mentioning=entities))[0]
     assert kept_fields(_load_naming(path, entities)) == expected
     assert len(expected) == 765 + 400 and not {"a3", "s1"} & {doc_id for doc_id, _, _ in expected}
     # Only lines 1 to 1023 with no backslash are tested: the prefix's 255
     # that name ent:c and the first 4 of the later lines.
-    assert test.calls == 255 + 4
+    assert counted["_ENTITY_VALUE_RE"].calls == 255 + 4
 
 
-def test_a_start_with_a_third_candidates_is_tested_throughout(tmp_path, monkeypatch):
-    test = CountingFindall(corpus_module._ENTITY_VALUE_RE)
-    monkeypatch.setattr(corpus_module, "_ENTITY_VALUE_RE", test)
+def test_a_start_with_a_third_candidates_is_tested_throughout(tmp_path, counted):
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(
         record(f"d{i}", "1990-02-11", [("ent:a" if i % 3 == 0 else "ent:b", 1)]) + "\n" for i in range(3000)
     ))
-    entities = frozenset({"ent:a"})
+    entities = PADDING | {"ent:a"}
     assert kept_fields(_load_naming(path, entities)) == fields(*load_corpus(path, mentioning=entities))[0]
-    assert test.calls == 2999  # every line but line 0, which is read untested
+    # every line but line 0, which is read untested
+    assert counted["_ENTITY_VALUE_RE"].calls == 2999
+
+
+def test_a_few_entities_are_found_by_byte_scans_and_gaps_scanned_whole(tmp_path, counted):
+    lines = [record(f"d{i}", "1990-02-11", [("ent:x", 1)]) for i in range(30)]
+    for i in (5, 12, 20):
+        lines[i] = record(f"d{i}", "1990-02-11", [("topic:alpha", 1), ("ent:x", 2)])
+    lines[9] = record("d20", "1990-02-11", [("ent:x", 1)])  # takes d20 before its line
+    lines[15] = record("d5", "1990-02-11", [("ent:x", 1)])  # repeats d5 after its line
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    entities = frozenset({"topic:alpha", "topic:beta"})
+    expected = fields(*load_corpus(path, mentioning=entities))[0]
+    assert [doc_id for doc_id, _, _ in expected] == ["d5", "d12"]
+    assert kept_fields(_load_naming(path, entities)) == expected
+    assert counted["_ENTITY_VALUE_RE"].calls == 0
+    # Lines 0, 5, 12 and 20 are read. One scan for each of the three gaps
+    # before line 20; the two that show a kept id are scanned again line by
+    # line: lines 6-11 (line 9 shadows d20) and lines 13-19 (line 15 does not).
+    assert counted["_ID_VALUE_RE"].calls == 3 + 6 + 7
 
 
 def corpus_lines(corpus: Corpus) -> list[str]:
