@@ -15,7 +15,7 @@ import threading
 from collections import Counter
 from typing import IO
 
-from .corpus import Corpus, EntityId, IngestReport, _UNPARSEABLE, _load_naming, load_corpus, load_entity_catalog, load_in_parts
+from .corpus import IngestReport, _UNPARSEABLE, _load_naming, load_corpus, load_entity_catalog, load_in_parts
 from .query import QUERY_FIELDS, QueryError, parse_granularity, parse_query, period_of
 from .ranking import RankedResult, build_index, rank
 
@@ -73,9 +73,9 @@ _PART_FLOOR = 4 << 20
 
 
 def _ingest_parts(path: str) -> int:
-    """How many parts rank and validate ingest path in: one per CPU this
-    process may use, each of at least _PART_FLOOR bytes. One where os.fork
-    is missing, or unsafe because another thread is running."""
+    """How many parts validate ingests path in: one per CPU this process
+    may use, each of at least _PART_FLOOR bytes. One where os.fork is
+    missing, or unsafe because another thread is running."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
@@ -85,16 +85,6 @@ def _ingest_parts(path: str) -> int:
     return max(1, min(cpus, os.path.getsize(path) // _PART_FLOOR))
 
 
-def _load_kept(path: str, mentioning: frozenset[EntityId]) -> tuple[Corpus, IngestReport]:
-    """load_corpus(path, mentioning=mentioning), split into parts ingested
-    in parallel when the file is large enough to gain from it. A part that
-    keeps most of what it accepts is ingested in this process instead."""
-    parts = _ingest_parts(path)
-    if parts == 1:
-        return load_corpus(path, mentioning=mentioning)
-    return load_in_parts(path, mentioning, parts)
-
-
 def _print_report(report: IngestReport, out: IO[str]) -> None:
     print(f"accepted: {report.accepted}", file=out)
     print(f"skipped: {report.skipped}", file=out)
@@ -102,20 +92,21 @@ def _print_report(report: IngestReport, out: IO[str]) -> None:
         print(f"{reason}: {report.reasons[reason]}", file=out)
 
 
-def _require_documents(report: IngestReport) -> None:
-    if report.accepted == 0:
+def _require_documents(usable: bool) -> None:
+    if not usable:
         raise ValueError("no documents ingested")
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    _, report = _load_kept(args.corpus, frozenset())  # the tallies alone
+    parts = _ingest_parts(args.corpus)  # the tallies alone, from no document kept
+    report = load_in_parts(args.corpus, parts) if parts > 1 else load_corpus(args.corpus, mentioning=frozenset())[1]
     if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
         catalog, cat_report = load_entity_catalog(args.catalog)
     _print_report(report, sys.stdout)
     if args.catalog is not None:
         print(f"catalog entities: {len(catalog)}", file=sys.stdout)
         print(f"catalog skipped: {cat_report.skipped}", file=sys.stdout)
-    _require_documents(report)
+    _require_documents(report.accepted > 0)
 
 
 def _load_query_file(path: str) -> dict[str, object]:
@@ -162,17 +153,15 @@ def cmd_rank(args: argparse.Namespace) -> None:
     query = parse_query(fields, catalog=catalog)  # before the corpus, so a bad query fails fast
     # rank reads only documents that name a query entity, so ingest keeps no
     # other, and reads in full only the lines that can change which it keeps.
-    corpus = _load_naming(args.corpus, query.entities)
-    if corpus is None:  # only the tallies of a whole read tell an empty answer from an empty corpus
-        corpus, report = _load_kept(args.corpus, query.entities)
-        _require_documents(report)
+    corpus, usable = _load_naming(args.corpus, query.entities)
+    _require_documents(usable)
     _emit(rank(build_index(corpus), query), args.fmt, args.explain, sys.stdout)
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
     granularity = parse_granularity(args.granularity)
     corpus, report = load_corpus(args.corpus)
-    _require_documents(report)
+    _require_documents(report.accepted > 0)
     counts = Counter(period_of(doc.published_at, granularity) for doc in corpus.documents)
     first = min(doc.published_at for doc in corpus.documents)
     last = max(doc.published_at for doc in corpus.documents)

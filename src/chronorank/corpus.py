@@ -18,8 +18,8 @@ tallied, and its id still takes part in the duplicate rule; an accepted
 document that names none of them is counted and not kept.
 
 The CLI's rank needs those documents, and the tallies only to tell an
-empty answer from a file with no usable line, so it first reads in full
-only the lines that can change which are kept (_load_naming). A line with
+empty answer from a file with no usable line, so it reads in full only the
+lines that can change which are kept (_load_naming). A line with
 no backslash spells each JSON string as its UTF-8 bytes, so unless it shows
 a query entity as an "entity" value it is not a kept document. Such a value
 is the entity's bytes between two quotes, so a line that holds none of the
@@ -28,15 +28,16 @@ ignores the key, so it may pass extra lines, but it never drops one that
 matters. A line that is not read can still take a kept document's id first,
 so the lines that show such an id as an "id" value before that document are
 read in full too. The documents kept are load_corpus's, in the same order.
+If it keeps none and no line it read is accepted, it reads on from the
+start of the file up to the first accepted record, if there is one.
 
-A file can also be read in byte-range parts, cut just after a line break,
-each part ingested on its own and the parts merged in file order
-(load_in_parts, which the CLI's validate uses, and rank when no line it
-reads in full is accepted). Only the duplicate rule reaches across lines,
-so the merge is exact: a part's first record of an id already accepted by
-an earlier part is a duplicate, not an accepted record, and that part's
-document for the id is dropped. The other skip reasons are tallied as they
-are, and a BOM is stripped only in the part that starts at byte 0.
+For the tallies alone, as the CLI's validate needs them, a file can also
+be read in byte-range parts, cut just after a line break, each part
+ingested on its own and the parts merged in file order (load_in_parts).
+Only the duplicate rule reaches across lines, so the merge is exact: a
+part's first record of an id already accepted by an earlier part is a
+duplicate, not an accepted record. The other skip reasons are tallied as
+they are, and a BOM is stripped only in the part that starts at byte 0.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from itertools import takewhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -217,13 +219,13 @@ def _parse_records(
     records: Iterable[dict],
     report: IngestReport,
     mentioning: frozenset[EntityId] | None,
-    known: dict[EntityId, EntityId],
     documents: list[Document],
 ) -> set[str]:
     """Ingest one run of records: append the documents to keep to
     documents, in order, tally into report, and return the set of ids
     accepted."""
     seen: set[str] = set()
+    known: dict[EntityId, EntityId] = {}
     # Corpora repeat dates, so each distinct date string is parsed once and
     # its documents share one date object.
     days: dict[str, date | None] = {}
@@ -274,7 +276,7 @@ def parse_corpus(
     """
     report = IngestReport()
     documents: list[Document] = []
-    _parse_records(_records(source, report), report, mentioning, {}, documents)
+    _parse_records(_records(source, report), report, mentioning, documents)
     return Corpus(documents=documents), report
 
 
@@ -310,8 +312,8 @@ def load_corpus(
         return parse_corpus(handle, mentioning=mentioning)
 
 
-# One part's result: its documents to keep, the ids it accepted, its tallies.
-_Part = tuple[list[Document], set[str], IngestReport]
+# One part's result: the ids it accepted and its tallies.
+_Part = tuple[set[str], IngestReport]
 
 
 def _span_lines(handle: IO[bytes], start: int, end: int) -> Iterator[bytes]:
@@ -325,37 +327,22 @@ def _span_lines(handle: IO[bytes], start: int, end: int) -> Iterator[bytes]:
                 return
 
 
-def _ingest_span(
-    handle: IO[bytes], start: int, end: int, mentioning: frozenset[EntityId] | None, known: dict[EntityId, EntityId]
-) -> _Part:
+def _ingest_span(handle: IO[bytes], start: int, end: int) -> _Part:
     """Ingest the lines between byte offsets start and end, each just after a
-    line break or at an end of the file."""
+    line break or at an end of the file, and keep no document."""
     report = IngestReport()
-    documents: list[Document] = []
     records = _records(_span_lines(handle, start, end), report, at_start=start == 0)
-    ids = _parse_records(records, report, mentioning, known, documents)
-    return documents, ids, report
+    return _parse_records(records, report, frozenset(), []), report
 
 
-def _while_sparse(records: Iterator[dict], report: IngestReport, documents: list[Document]) -> Iterator[dict]:
-    """records, cut short once the documents kept pass half of the records
-    accepted: checked every 1024 records, so that a part that keeps most of
-    what it reads stops early."""
-    for number, record in enumerate(records, 1):
-        if number % 1024 == 0 and 2 * len(documents) > report.accepted:
-            return
-        yield record
-
-
-def _merge(parts: Iterable[_Part]) -> tuple[Corpus, IngestReport]:
-    """Merge the parts of one file, in file order, into what parse_corpus
-    gives for the whole file."""
+def _merge(parts: Iterable[_Part]) -> IngestReport:
+    """Merge the parts of one file, in file order, into the report
+    parse_corpus gives for the whole file."""
     report = IngestReport()
-    documents: list[Document] = []
     # Each part's own id set, never their union: a union would be one more
     # set as large as all of them.
     earlier: list[set[str]] = []
-    for part_documents, ids, part_report in parts:
+    for ids, part_report in parts:
         # An id an earlier part accepted makes this part's first record of it
         # a duplicate; the part's later records of it are duplicates already.
         shadowed = set().union(*(ids & other for other in earlier))
@@ -363,10 +350,8 @@ def _merge(parts: Iterable[_Part]) -> tuple[Corpus, IngestReport]:
         report.reasons.update(part_report.reasons)
         if shadowed:
             report.reasons[SKIP_DUPLICATE] += len(shadowed)
-            part_documents = [d for d in part_documents if d.id not in shadowed]
-        documents += part_documents
         earlier.append(ids)
-    return Corpus(documents=documents), report
+    return report
 
 
 def _spans(handle: IO[bytes], parts: int) -> list[tuple[int, int]]:
@@ -382,12 +367,9 @@ def _spans(handle: IO[bytes], parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork_part(
-    handle: IO[bytes], span: tuple[int, int], mentioning: frozenset[EntityId] | None
-) -> tuple[int, IO[bytes]] | None:
+def _fork_part(handle: IO[bytes], span: tuple[int, int]) -> tuple[int, IO[bytes]] | None:
     """Ingest span in a child process. Return the child's pid and the pipe
-    its pickled part comes through, empty if the part is the parent's to
-    ingest, or None if no child could be started."""
+    its pickled part comes through, or None if no child could be started."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:  # no file descriptor left, say
@@ -404,17 +386,9 @@ def _fork_part(
         status = 1
         try:
             os.close(read_fd)
-            report = IngestReport()
-            documents: list[Document] = []
-            records = _records(_span_lines(handle, *span), report, at_start=False)
-            ids = _parse_records(_while_sparse(records, report, documents), report, mentioning, {}, documents)
+            part = _ingest_span(handle, *span)
             with open(write_fd, "wb") as pipe:
-                # Sending a document back and rebuilding it costs nearly as
-                # much as parsing its line, so a part that keeps more than
-                # half of what it accepts sends nothing: the parent ingests it.
-                if 2 * len(documents) <= report.accepted:
-                    rows = [(d.id, d.published_at, d.mentions) for d in documents]
-                    pickle.dump((rows, ids, report), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(part, pipe, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -422,42 +396,31 @@ def _fork_part(
     return pid, open(read_fd, "rb")
 
 
-def _receive(pid: int, pipe: IO[bytes]) -> bytes:
-    """Read a child's payload to EOF and reap the child; b"" unless it
-    exited 0."""
-    with pipe:
-        payload = pipe.read()
-    return payload if os.waitpid(pid, 0)[1] == 0 else b""
-
-
-def _unpickle_part(payload: bytes, known: dict[EntityId, EntityId]) -> _Part | None:
-    """Rebuild a child's part, keying its mention maps through known so that
-    every document shares one string per entity id. None if the payload is
-    empty or does not decode."""
+def _receive(pid: int, pipe: IO[bytes]) -> _Part | None:
+    """Read a child's part to EOF and reap the child, whatever the read
+    raises. None unless the child exited 0 and its part decodes."""
     try:
-        rows, ids, report = pickle.loads(payload)
+        with pipe:
+            payload = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        return None
+    try:
+        return pickle.loads(payload)
     except Exception:  # a payload cut short can fail in any of several ways
         return None
-    documents = [
-        Document(id=doc_id, published_at=day, mentions={known.setdefault(e, e): n for e, n in mentions.items()})
-        for doc_id, day, mentions in rows
-    ]
-    return documents, ids, report
 
 
-def load_in_parts(
-    path: str | Path, mentioning: frozenset[EntityId] | None, parts: int
-) -> tuple[Corpus, IngestReport]:
-    """Read a corpus file as load_corpus does, in up to parts byte ranges
-    ingested in parallel: parts - 1 forked children and this process.
+def load_in_parts(path: str | Path, parts: int) -> IngestReport:
+    """The report load_corpus gives for a corpus file, from up to parts byte
+    ranges ingested in parallel: parts - 1 forked children and this
+    process. No document is kept.
 
-    The result equals load_corpus's. A part whose child cannot be started,
-    exits other than 0 or sends a payload that does not decode is ingested
-    here instead, as is a part that keeps more than half of the records it
-    accepts: with mentioning=None every part does, so this gains only when
-    mentioning keeps few documents. Every child is reaped before this
-    returns or raises. With parts above 1 it needs os.fork: call it so only
-    from a process with no other thread.
+    A part whose child cannot be started, exits other than 0 or sends a
+    part that does not decode is ingested here instead. Every child is
+    reaped before this returns or raises. With parts above 1 it needs
+    os.fork: call it so only from a process with no other thread.
     """
     with ExitStack() as stack:
         # One handle per part, opened before any fork: every part reads the
@@ -467,16 +430,12 @@ def load_in_parts(
         children: list[tuple[int, IO[bytes]] | None] = []
         try:
             for handle, span in zip(handles[1:], spans[1:]):
-                children.append(_fork_part(handle, span, mentioning))
-            known: dict[EntityId, EntityId] = {}
-            results = [_ingest_span(handles[0], *spans[0], mentioning, known)]
+                children.append(_fork_part(handle, span))
+            results = [_ingest_span(handles[0], *spans[0])]
             for number, (handle, span) in enumerate(zip(handles[1:], spans[1:])):
-                child, part = children[number], None
-                if child is not None:
-                    payload = _receive(*child)
-                    children[number] = None  # reaped
-                    part = _unpickle_part(payload, known)
-                results.append(part if part is not None else _ingest_span(handle, *span, mentioning, known))
+                child, children[number] = children[number], None  # reaped by _receive
+                part = None if child is None else _receive(*child)
+                results.append(part if part is not None else _ingest_span(handle, *span))
         finally:
             # Closing the pipes first lets a child still writing fail and
             # exit, so no wait below can hang.
@@ -592,11 +551,13 @@ def _shadowing(handle: IO[bytes], gaps: list[int], kept_at: dict[bytes, int]) ->
             index += 2
 
 
-def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> Corpus | None:
+def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpus, bool]:
     """The documents load_corpus(path, mentioning=entities) keeps, in the
-    same order; only the lines that can change them are read in full, with
-    every check. None if it keeps none and no line it reads is accepted:
-    then only a whole read can tell whether the file has a usable line.
+    same order, and whether it accepts a line at all; only the lines that
+    can change the documents are read in full, with every check. If it keeps
+    none and no line it reads is accepted, it reads the file again from the
+    start, in this process, up to the first accepted record: only that tells
+    an empty answer from a file with no usable line.
 
     A line is known by its byte offset. A candidate line is line 0, so that
     a BOM is stripped from it alone, or a line that holds a backslash, or
@@ -657,9 +618,14 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> Corpus | No
                 read.extend((start, handle.tell()))
                 kept_at.update((document.id.encode("utf-8"), start) for document in documents[kept:])
 
-        _parse_records(_records(candidates(), report), report, entities, {}, documents)
+        _parse_records(_records(candidates(), report), report, entities, documents)
         if not documents:
-            return Corpus(documents=documents) if report.accepted else None
+            if not report.accepted:
+                # No line is decoded after the first accepted record.
+                handle.seek(0)
+                lines = takewhile(lambda _: not report.accepted, handle)
+                _parse_records(_records(lines, report), report, frozenset(), documents)
+            return Corpus(documents=documents), report.accepted > 0
         # The gaps between the runs read, up to the last kept document's line.
         gaps = read[1 : bisect_right(read, max(kept_at.values()))]
         shadowing = list(_shadowing(handle, gaps, kept_at))
@@ -668,8 +634,9 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> Corpus | No
             documents = []
             spans = sorted([*zip(read[::2], read[1::2]), *shadowing])
             lines = (line for span in spans for line in _span_lines(handle, *span))
-            _parse_records(_records(lines, report), report, entities, {}, documents)
-    return Corpus(documents=documents)
+            _parse_records(_records(lines, report), report, entities, documents)
+    # A kept document's line is accepted, so the file has a usable line.
+    return Corpus(documents=documents), True
 
 
 def load_entity_catalog(path: str | Path) -> tuple[dict[EntityId, set[str]], IngestReport]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from chronorank import cli
+from chronorank import corpus as corpus_module
 
 # No per-example deadline: the first examples of a property pay for imports and
 # caches, and a shared host's timing varies. Built on the profile hypothesis
@@ -53,3 +54,25 @@ def forked(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """For each pass of corpus ingest during the test, in order, how many
+    lines it drew to decode."""
+    counts = []
+    records = corpus_module._records
+
+    def counting_records(source, report, **kwargs):
+        counts.append(0)
+        number = len(counts) - 1
+
+        def drawn():
+            for line in source:
+                counts[number] += 1
+                yield line
+
+        return records(drawn(), report, **kwargs)
+
+    monkeypatch.setattr(corpus_module, "_records", counting_records)
+    return counts

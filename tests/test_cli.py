@@ -265,40 +265,31 @@ def test_rank_empty_corpus_exits_one(run_cli, tmp_path):
     assert "no documents" in err
 
 
-@pytest.fixture
-def full_ingests(monkeypatch):
-    """The corpora rank reads whole through cli._load_kept."""
-    paths = []
-    load_kept = cli._load_kept
-
-    def recording_load_kept(path, mentioning):
-        paths.append(path)
-        return load_kept(path, mentioning)
-
-    monkeypatch.setattr(cli, "_load_kept", recording_load_kept)
-    return paths
-
-
-def test_rank_reads_the_whole_corpus_only_when_no_line_it_reads_is_accepted(run_cli, fixture_corpus_path, tmp_path, full_ingests):
+def test_rank_reads_the_whole_corpus_only_when_no_line_it_reads_is_accepted(run_cli, fixture_corpus_path, tmp_path, forked, decoded):
     # Nothing names the entity. Line 0, which is always read, is accepted in
-    # the fixture, so the answer is empty (exit 0). Otherwise the tallies of a
-    # whole read tell an empty answer from a corpus with no usable line (exit 1).
+    # the fixture, so the answer is empty (exit 0). Otherwise rank reads the
+    # file again from the start, up to the first accepted line: with none, the
+    # corpus has no usable line (exit 1). It never forks.
     ghost = ["--entity", "ent:ghost", "--from", "1984-05-01", "--to", "1984-06-30"]
     assert run_cli("rank", str(fixture_corpus_path), *ghost) == (0, "", "")
-    assert full_ingests == []
+    assert decoded == [1]
     junk = tmp_path / "junk.jsonl"
     junk.write_text('junk\n{"id": "x", "mentions": [{"entity": "ent:ghost", "count": 1}]}\n')
     assert run_cli("rank", str(junk), *ghost) == (1, "", "error: no documents ingested\n")
     late = tmp_path / "late.jsonl"
     late.write_text("junk\n" + fixture_corpus_path.read_text())
     assert run_cli("rank", str(late), *ghost) == (0, "", "")
-    assert full_ingests == [str(junk), str(late)]
-    full_ingests.clear()
+    # Lines decoded by each pass: the fixture's line 0; both lines of junk,
+    # then both again from the start; late's line 0, then its lines 0 and 1,
+    # where the read stops at the first accepted line.
+    assert decoded == [1, 2, 2, 1, 2]
+    decoded.clear()
     assert run_cli(*fixture_args(fixture_corpus_path, "--explain")) == (0, golden("rank_all_month.tsv"), "")
-    assert full_ingests == []
+    assert len(decoded) == 1
+    assert forked == []
 
 
-def test_rank_drops_a_document_whose_id_an_earlier_line_took(run_cli, tmp_path, full_ingests):
+def test_rank_drops_a_document_whose_id_an_earlier_line_took(run_cli, tmp_path, forked, decoded):
     # d1 first comes on a line that names no query entity, so its later line,
     # which names one, is a duplicate; the \u0031 spells d1 with an escape.
     # Line 0 is always read in full, so d1 comes after it.
@@ -313,13 +304,16 @@ def test_rank_drops_a_document_whose_id_an_earlier_line_took(run_cli, tmp_path, 
     )))
     flags = ["--entity", "A", "--from", "1990-01-01", "--to", "1990-01-31", "--explain"]
     code, out, err = run_cli("rank", str(path), *flags)
+    passes = list(decoded)
     query = Query(entities=frozenset({"A"}), semantics=Semantics.ALL, start=date(1990, 1, 1),
                   end=date(1990, 1, 31), granularity=Granularity.MONTH)
     expected = io.StringIO()
     cli._emit(rank(build_index(load_corpus(path)[0]), query), "tsv", True, expected)
     assert (code, out, err) == (0, expected.getvalue(), "")
     assert sorted(line.split("\t")[1] for line in out.splitlines()) == ["d2", "d3"]
-    assert full_ingests == []
+    # The five lines read in full keep d1 from line 3; line 1 shows d1 first,
+    # so all six lines are ingested again, in file order. Nothing forks.
+    assert (passes, forked) == ([5, 6], [])
 
 
 def test_rank_missing_corpus_exits_two(run_cli, tmp_path):
@@ -487,29 +481,29 @@ def test_cli_ingest_in_parts_leaves_no_child_process(run_cli, fixture_corpus_pat
         finally:
             sys.stdout = stdout
     assert code == 2
-    # validate forks three parts, and so does the rank of a corpus with no
-    # usable line, which reads it whole; a rank that accepts a line it reads
-    # needs no whole read and forks nothing.
-    assert len(in_parts) == 2 * 3
+    # validate forks three parts; rank, even of a corpus with no usable line,
+    # forks nothing.
+    assert len(in_parts) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_with_a_live_thread_ingests_in_one_part(run_cli, fixture_corpus_path, in_parts):
     # Forking with another thread running can deadlock the child, and from
-    # Python 3.12 warns; filterwarnings = error turns that warning into a failure.
+    # Python 3.12 warns; filterwarnings = error turns that warning into a
+    # failure. validate is the one subcommand that can fork.
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
     try:
         parts = cli._ingest_parts(str(fixture_corpus_path))
-        result = run_cli(*fixture_args(fixture_corpus_path, "--explain"))
+        result = run_cli("validate", str(fixture_corpus_path))
     finally:
         stop.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert (parts, in_parts) == (1, [])
-    assert result == (0, golden("rank_all_month.tsv"), "")
+    assert result == (0, "accepted: 6\nskipped: 0\n", "")
 
 
 def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import importlib.util
 import json
 import os
 import random
@@ -10,13 +11,14 @@ import sys
 import tempfile
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chronorank import Granularity, build_index, load_corpus, parse_corpus, parse_entity_catalog, rank
+from chronorank import Granularity, Query, Semantics, build_index, load_corpus, parse_corpus, parse_entity_catalog, rank
 from chronorank import corpus as corpus_module
 from chronorank.corpus import (
     SKIP_DATELESS,
@@ -27,8 +29,6 @@ from chronorank.corpus import (
     _ingest_span,
     _load_naming,
     _merge,
-    _parse_records,
-    _while_sparse,
     is_valid_entity_id,
     load_in_parts,
 )
@@ -307,14 +307,17 @@ def fields(corpus, report):
     return documents, report.accepted, dict(report.reasons)
 
 
-def ingest_between(path, cuts, mentioning):
+def tallies(report):
+    """accepted and the reason tallies (with no zero tally) of a report."""
+    return report.accepted, dict(report.reasons)
+
+
+def ingest_between(path, cuts):
     """Ingest path's byte ranges between the cuts one by one, in this
-    process, and merge them."""
+    process, and merge their reports."""
     bounds = [0, *cuts, os.path.getsize(path)]
-    known = {}
     with open(path, "rb") as handle:
-        parts = [_ingest_span(handle, start, end, mentioning, known) for start, end in zip(bounds, bounds[1:])]
-    return _merge(parts)
+        return _merge([_ingest_span(handle, start, end) for start, end in zip(bounds, bounds[1:])])
 
 
 @settings(max_examples=200)
@@ -328,10 +331,9 @@ def ingest_between(path, cuts, mentioning):
     ),
     crlf=st.lists(st.booleans(), min_size=12, max_size=12),
     final_newline=st.booleans(),
-    mentioning=st.sampled_from([None, frozenset({"ent:a"})]),
     data=st.data(),
 )
-def test_parts_merge_into_what_the_whole_file_gives(lines, crlf, final_newline, mentioning, data):
+def test_parts_merge_into_what_the_whole_file_gives(lines, crlf, final_newline, data):
     # Every line comes twice, so an id can recur in a later part.
     lines = lines + lines
     endings = ["\r\n" if c else "\n" for c in crlf[: len(lines)]]
@@ -343,10 +345,10 @@ def test_parts_merge_into_what_the_whole_file_gives(lines, crlf, final_newline, 
         path = os.path.join(folder, "corpus.jsonl")
         with open(path, "wb") as handle:
             handle.write(b"".join(raw))
-        whole = fields(*load_corpus(path, mentioning=mentioning))
+        whole = tallies(load_corpus(path)[1])
         for parts in range(1, 5):
             cuts = sorted(data.draw(st.lists(st.sampled_from(breaks), min_size=parts - 1, max_size=parts - 1)))
-            assert fields(*ingest_between(path, cuts, mentioning)) == whole, cuts
+            assert tallies(ingest_between(path, cuts)) == whole, cuts
 
 
 @pytest.mark.parametrize(
@@ -371,7 +373,7 @@ def test_the_duplicate_rule_reaches_across_a_cut(tmp_path, first, second, expect
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(line + "\n" for line in first + second))
     cut = len("".join(line + "\n" for line in first).encode("utf-8"))
-    assert fields(*ingest_between(path, [cut], None)) == expected
+    assert tallies(ingest_between(path, [cut])) == expected[1:]
     assert fields(*load_corpus(path)) == expected
 
 
@@ -388,52 +390,31 @@ def three_part_corpus(path):
 
 
 @pytest.fixture
-def payloads(monkeypatch):
-    """The payload load_in_parts receives from each child, in part order."""
-    received = []
+def received(monkeypatch):
+    """The part load_in_parts receives from each child, None if none, in
+    part order."""
+    parts = []
     receive = corpus_module._receive
 
     def recording_receive(pid, pipe):
-        received.append(receive(pid, pipe))
-        return received[-1]
+        parts.append(receive(pid, pipe))
+        return parts[-1]
 
     monkeypatch.setattr(corpus_module, "_receive", recording_receive)
-    return received
+    return parts
 
 
-# Every record of three_part_corpus names ent:x, and one in ten names ent:2.
-# A child sends its part back only if it keeps at most half of what it
-# accepts; otherwise it sends nothing and the parent ingests the part.
-@pytest.mark.parametrize(
-    "mentioning,sent",
-    [(None, False), (frozenset(), True), (frozenset({"ent:x"}), False), (frozenset({"ent:2"}), True)],
-)
-def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, forked, payloads, mentioning, sent):
+def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, forked, received):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
-    assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
+    assert tallies(load_in_parts(path, 3)) == tallies(load_corpus(path)[1])
     assert len(forked) == 2
-    assert [payload != b"" for payload in payloads] == [sent, sent]
-
-
-def dense_records(count, kept_every):
-    """count accepted records; one in kept_every names ent:x."""
-    return [
-        {"id": f"d{i}", "date": "1990-02-11", "mentions": [{"entity": "ent:x" if i % kept_every == 0 else "ent:y", "count": 1}]}
-        for i in range(count)
-    ]
-
-
-@pytest.mark.parametrize("kept_every,accepted", [(1, 1023), (3, 3000)])
-def test_a_run_that_keeps_most_of_what_it_accepts_is_cut_short(kept_every, accepted):
-    report, documents = IngestReport(), []
-    records = iter(dense_records(3000, kept_every))
-    _parse_records(_while_sparse(records, report, documents), report, frozenset({"ent:x"}), {}, documents)
-    assert report.accepted == accepted
+    # Every child sends its part: the ids it accepted and its tallies.
+    assert [part is not None for part in received] == [True, True]
 
 
 @pytest.mark.parametrize("failure", ["raises", "sends-garbage"])
-def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, monkeypatch, failure):
+def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, received, monkeypatch, failure):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
     parent = os.getpid()
@@ -453,9 +434,8 @@ def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, mo
         monkeypatch.setattr(corpus_module, "_parse_records", raising_in_a_child)
     else:
         monkeypatch.setattr(corpus_module.pickle, "dump", garbage_from_a_child)
-    mentioning = frozenset({"ent:2"})  # few enough that each child sends its part
-    assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
-    assert len(forked) == 2
+    assert tallies(load_in_parts(path, 3)) == tallies(load_corpus(path)[1])
+    assert (len(forked), received) == (2, [None, None])
 
 
 def test_a_part_with_no_pipe_is_ingested_by_the_parent(tmp_path, forked, monkeypatch):
@@ -466,8 +446,7 @@ def test_a_part_with_no_pipe_is_ingested_by_the_parent(tmp_path, forked, monkeyp
         raise OSError(errno.EMFILE, "Too many open files")
 
     monkeypatch.setattr(os, "pipe", no_pipe)
-    mentioning = frozenset({"ent:2"})
-    assert fields(*load_in_parts(path, mentioning, 3)) == fields(*load_corpus(path, mentioning=mentioning))
+    assert tallies(load_in_parts(path, 3)) == tallies(load_corpus(path)[1])
     assert forked == []
 
 
@@ -475,15 +454,17 @@ def test_an_error_after_a_child_is_reaped_propagates_unchanged(tmp_path, forked,
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
 
-    class Interrupted(Exception):
+    # Raised as decoding a reaped child's part begins, as a KeyboardInterrupt
+    # would be: a BaseException, which the guard around the decoding lets pass.
+    class Interrupted(BaseException):
         pass
 
-    def interrupted(payload, known):
+    def interrupted(payload):
         raise Interrupted
 
-    monkeypatch.setattr(corpus_module, "_unpickle_part", interrupted)
+    monkeypatch.setattr(corpus_module.pickle, "loads", interrupted)
     with pytest.raises(Interrupted):
-        load_in_parts(path, frozenset({"ent:2"}), 3)
+        load_in_parts(path, 3)
     assert len(forked) == 2
     with pytest.raises(ChildProcessError):  # every child is reaped
         os.waitpid(-1, os.WNOHANG)
@@ -550,7 +531,7 @@ def mostly_candidates(size):
 
 
 def kept_fields(corpus):
-    return [] if corpus is None else fields(corpus, IngestReport())[0]
+    return fields(corpus, IngestReport())[0]
 
 
 def naming(doc_id, entity="ent:a"):
@@ -584,12 +565,9 @@ def written(folder, raw):
 
 def assert_keeps_what_load_corpus_keeps(path, entities):
     expected, accepted, _ = fields(*load_corpus(path, mentioning=entities))
-    kept = _load_naming(path, entities)
+    kept, usable = _load_naming(path, entities)
     assert kept_fields(kept) == expected
-    # None only when nothing is kept; a corpus, even an empty one, only when
-    # the file has a usable line.
-    assert kept is not None or expected == []
-    assert kept is None or accepted > 0
+    assert usable == (accepted > 0)
 
 
 @settings(max_examples=300)
@@ -705,7 +683,7 @@ def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path,
     # More entities than byte scans find, so each line is tested until the switch.
     entities = PADDING | {"ent:a"}
     expected = fields(*load_corpus(path, mentioning=entities))[0]
-    assert kept_fields(_load_naming(path, entities)) == expected
+    assert kept_fields(_load_naming(path, entities)[0]) == expected
     assert len(expected) == 765 + 400 and not {"a3", "s1"} & {doc_id for doc_id, _, _ in expected}
     # Only lines 1 to 1023 with no backslash are tested: the prefix's 255
     # that name ent:c and the first 4 of the later lines.
@@ -718,7 +696,7 @@ def test_a_start_with_a_third_candidates_is_tested_throughout(tmp_path, counted)
         record(f"d{i}", "1990-02-11", [("ent:a" if i % 3 == 0 else "ent:b", 1)]) + "\n" for i in range(3000)
     ))
     entities = PADDING | {"ent:a"}
-    assert kept_fields(_load_naming(path, entities)) == fields(*load_corpus(path, mentioning=entities))[0]
+    assert kept_fields(_load_naming(path, entities)[0]) == fields(*load_corpus(path, mentioning=entities))[0]
     # every line but line 0, which is read untested
     assert counted["_ENTITY_VALUE_RE"].calls == 2999
 
@@ -734,12 +712,72 @@ def test_a_few_entities_are_found_by_byte_scans_and_gaps_scanned_whole(tmp_path,
     entities = frozenset({"topic:alpha", "topic:beta"})
     expected = fields(*load_corpus(path, mentioning=entities))[0]
     assert [doc_id for doc_id, _, _ in expected] == ["d5", "d12"]
-    assert kept_fields(_load_naming(path, entities)) == expected
+    assert kept_fields(_load_naming(path, entities)[0]) == expected
     assert counted["_ENTITY_VALUE_RE"].calls == 0
     # Lines 0, 5, 12 and 20 are read. One scan for each of the three gaps
     # before line 20; the two that show a kept id are scanned again line by
     # line: lines 6-11 (line 9 shadows d20) and lines 13-19 (line 15 does not).
     assert counted["_ID_VALUE_RE"].calls == 3 + 6 + 7
+
+
+def bench_gen():
+    """bench/gen.py, the benchmark's corpus generator, imported from its file."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parents[1] / "bench" / "gen.py")
+    module = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TOPIC_PAIR = frozenset({"topic:alpha", "topic:beta"})
+
+
+@pytest.fixture(scope="module")
+def seed1(tmp_path_factory):
+    """The seed-1 benchmark corpus, 101,000 lines: its lines, the topic
+    pair's kept documents, and the id and line number of one of them, near
+    the middle of the file."""
+    path = tmp_path_factory.mktemp("seed1") / "corpus.jsonl"
+    bench_gen().write_corpus(path, 1)
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept, usable = _load_naming(path, TOPIC_PAIR)
+    assert usable
+    doc_id = kept.documents[len(kept) // 2].id
+    at = next(n for n, line in enumerate(lines) if line.startswith(b'{"id": "%s"' % doc_id.encode()))
+    return lines, kept, doc_id, at
+
+
+def ranked(corpus):
+    query = Query(entities=TOPIC_PAIR, semantics=Semantics.ALL, start=date(1988, 1, 1), end=date(1990, 12, 31),
+                  granularity=Granularity.MONTH)
+    return rank(build_index(corpus), query)
+
+
+def with_line_before(seed1, tmp_path, line):
+    """The seed-1 corpus with line inserted 40 lines before the kept document."""
+    lines, _, _, at = seed1
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"".join([*lines[: at - 40], line.encode() + b"\n", *lines[at - 40 :]]))
+    return path
+
+
+def test_a_dateless_line_that_shows_a_kept_id_first_changes_nothing_at_scale(seed1, tmp_path, decoded):
+    _, kept, doc_id, _ = seed1
+    path = with_line_before(seed1, tmp_path, json.dumps({"id": doc_id, "mentions": [{"entity": "e0001", "count": 1}]}))
+    found, usable = _load_naming(path, TOPIC_PAIR)
+    assert usable and kept_fields(found) == kept_fields(kept)
+    assert ranked(found) == ranked(kept)
+    # The shadowing pass finds the line, so the lines read and it are ingested again.
+    assert len(decoded) == 2 and decoded[1] == decoded[0] + 1
+
+
+def test_an_accepted_line_that_takes_a_kept_id_first_drops_that_document_at_scale(seed1, tmp_path, decoded):
+    _, kept, doc_id, _ = seed1
+    line = json.dumps({"id": doc_id, "date": "1989-01-01", "mentions": [{"entity": "e0001", "count": 1}]})
+    path = with_line_before(seed1, tmp_path, line)
+    found, usable = _load_naming(path, TOPIC_PAIR)
+    assert len(decoded) == 2 and decoded[1] == decoded[0] + 1
+    expected = [doc for doc in kept_fields(kept) if doc[0] != doc_id]
+    assert usable and kept_fields(found) == expected == fields(*load_corpus(path, mentioning=TOPIC_PAIR))[0]
 
 
 def corpus_lines(corpus: Corpus) -> list[str]:
@@ -843,27 +881,20 @@ def test_mentions_are_rekeyed_in_sorted_order():
     assert list(doc.mentions) == ["ent:a", "ent:z"]
 
 
-def test_equal_entity_ids_share_one_string(tmp_path, forked, payloads):
+def test_equal_entity_ids_share_one_string():
     kept = [
         record("a1", "1990-02-11", [("ent:x", 1), ("ent:y", 2)]),
         record("a2", "1990-02-12", [("ent:y", 1), ("ent:x", 3)]),
         record("a3", "1990-02-13", [("ent:z", 1), ("ent:y", 1)]),
     ]
-    # Each followed by a line of the same length that mentioning drops, so
-    # each third of the file keeps half of what it accepts and a forked
-    # part sends its document back.
+    # Each followed by a line that mentioning drops.
     lines = [line for i, a in enumerate(kept) for line in (a, record(f"b{i}", "1990-02-14", [("ent:v", 1), ("ent:w", 2)]))]
-    path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(line + "\n" for line in lines))
-    mentioning = frozenset({"ent:x", "ent:y", "ent:z"})
-    # The whole run of lines at once, then two lines per part, two parts forked.
-    for corpus, _ in (parse_corpus(lines, mentioning=mentioning), load_in_parts(path, mentioning, 3)):
-        assert [d.id for d in corpus.documents] == ["a1", "a2", "a3"]
-        shared = {id(e) for d in corpus.documents for e in d.mentions}
-        assert len(shared) == len(corpus.entity_universe) == 3
-        index = build_index(corpus)
-        assert {id(e) for e in index.docs_by_entity} == shared
-    assert len(forked) == 2 and all(payloads)
+    corpus, _ = parse_corpus(lines, mentioning=frozenset({"ent:x", "ent:y", "ent:z"}))
+    assert [d.id for d in corpus.documents] == ["a1", "a2", "a3"]
+    shared = {id(e) for d in corpus.documents for e in d.mentions}
+    assert len(shared) == len(corpus.entity_universe) == 3
+    index = build_index(corpus)
+    assert {id(e) for e in index.docs_by_entity} == shared
 
 
 def test_document_has_no_instance_dict():
