@@ -42,13 +42,14 @@ they are, and a BOM is stripped only in the part that starts at byte 0.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
 import re
 from bisect import bisect_right
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
@@ -72,6 +73,13 @@ _BAD_ENTITY_CHAR_RE = re.compile(r"[\s\x00-\x1f\x7f]")
 _BAD_DOC_ID_CHAR_RE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
 # json.loads raises ValueError on bad JSON or too long an integer, RecursionError on deep nesting.
 _UNPARSEABLE = (ValueError, RecursionError)
+# Ingest parses a line by a direct call of the scanner json.loads calls, on
+# the line already stripped: json.loads's whitespace skips would find nothing
+# there, and its one other check, a leading U+FEFF, makes the scan fail too.
+# The line is one JSON value when the scan ends at its end. The scanner raises
+# StopIteration when no value starts the line, and as json.loads otherwise.
+_scan = json.JSONDecoder().scan_once
+_UNSCANNABLE = (StopIteration, *_UNPARSEABLE)
 
 LineSource = Union[IO[bytes], IO[str], Iterable[Union[str, bytes]]]
 
@@ -110,6 +118,40 @@ class Document:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mentions", dict(sorted(self.mentions.items())))
+
+
+# The slot descriptors' own setters, which the frozen __setattr__ does not guard.
+_set_id = Document.id.__set__
+_set_published_at = Document.published_at.__set__
+_set_mentions = Document.mentions.__set__
+
+
+def _document(doc_id: str, day: date, mentions: dict[EntityId, int]) -> Document:
+    """The Document Document(id=doc_id, published_at=day, mentions=mentions)
+    gives, for mentions already in sorted order: its slots are filled
+    directly, so the map is not copied and sorted again."""
+    doc = object.__new__(Document)
+    _set_id(doc, doc_id)
+    _set_published_at(doc, day)
+    _set_mentions(doc, mentions)
+    return doc
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Hold the cyclic garbage collector for the block, and give it back
+    the state it had. Ingest keeps two containers per document, the
+    Document and its mention map, and drops several more per line; none
+    forms a cycle, so reference counting frees what it drops, while each
+    pass of the collector's older generations would walk every object kept
+    so far again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -170,18 +212,19 @@ def _records(source: LineSource, report: IngestReport, *, at_start: bool = True)
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except _UNPARSEABLE:
+            record, end = _scan(line, 0)
+        except _UNSCANNABLE:
             report.reasons[SKIP_MALFORMED] += 1
             continue
-        if isinstance(record, dict):
+        if end == len(line) and isinstance(record, dict):
             yield record
         else:
             report.reasons[SKIP_MALFORMED] += 1
 
 
 def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[EntityId, int] | None:
-    """Build a mention map from the record's mentions array.
+    """Build a mention map from the record's mentions array, in sorted
+    entity order, as Document keeps it.
 
     Returns None when the array is malformed, including when an entity id
     repeats: one document carries one count per entity.
@@ -189,11 +232,14 @@ def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[
     known maps each entity id already validated to the one string that stands
     for it. A hit is keyed by that string; a miss is validated once and, if
     valid, added. So the check runs once per distinct id, and every map shares
-    one string per id instead of the new one json.loads makes per mention.
+    one string per id instead of the new one the JSON scanner makes per mention.
+
+    The (entity, count) pairs are collected and the map is built once, from
+    them sorted; a repeated entity leaves the map shorter than the pairs.
     """
     if not isinstance(raw, list):
         return None
-    mentions: dict[EntityId, int] = {}
+    pairs: list[tuple[EntityId, int]] = []
     for item in raw:
         if not isinstance(item, dict):
             return None
@@ -206,13 +252,14 @@ def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[
             if not is_valid_entity_id(entity):
                 return None
             shared = known[entity] = entity
-        entity = shared
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        # A JSON count is an int, a bool, a float or no number at all, and a
+        # bool is an int subclass: the type test rejects it with the rest.
+        if type(count) is not int or count < 1:
             return None
-        if entity in mentions:
-            return None
-        mentions[entity] = count
-    return mentions
+        pairs.append((shared, count))
+    pairs.sort()
+    mentions = dict(pairs)
+    return mentions if len(mentions) == len(pairs) else None
 
 
 def _parse_records(
@@ -254,7 +301,7 @@ def _parse_records(
         seen.add(doc_id)
         report.accepted += 1
         if mentioning is None or not mentioning.isdisjoint(mentions):
-            documents.append(Document(id=doc_id, published_at=day, mentions=mentions))
+            documents.append(_document(doc_id, day, mentions))
     return seen
 
 
@@ -276,7 +323,8 @@ def parse_corpus(
     """
     report = IngestReport()
     documents: list[Document] = []
-    _parse_records(_records(source, report), report, mentioning, documents)
+    with _gc_paused():
+        _parse_records(_records(source, report), report, mentioning, documents)
     return Corpus(documents=documents), report
 
 

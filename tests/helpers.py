@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import unicodedata
@@ -20,7 +21,6 @@ from chronorank.corpus import (
     Document,
     IngestReport,
     _parse_day,
-    _records,
     is_valid_entity_id,
 )
 from chronorank.ranking import CorpusIndex, relativeness
@@ -211,13 +211,40 @@ def check_ranking_invariants(corpus: Corpus, query: Query) -> Counter:
     )
 
 
+def reference_records(lines, report: IngestReport):
+    """Plain reference for ingest's line layer: each line decoded as UTF-8,
+    a BOM dropped from line 0 alone, stripped, blank lines ignored, and
+    json.loads, which must give a dict. Anything else is tallied malformed."""
+    for number, line in enumerate(lines):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                report.reasons[SKIP_MALFORMED] += 1
+                continue
+        if number == 0:
+            line = line.removeprefix("\ufeff")
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            report.reasons[SKIP_MALFORMED] += 1
+            continue
+        if isinstance(record, dict):
+            yield record
+        else:
+            report.reasons[SKIP_MALFORMED] += 1
+
+
 def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
-    """Plain reference for parse_corpus's record checks: every mention's id
-    goes through is_valid_entity_id, and nothing is shared between records.
-    The line layer (_records) and the date parser are the engine's own."""
+    """Plain reference for parse_corpus: its own line layer
+    (reference_records), every mention's id through is_valid_entity_id, and
+    nothing shared between records. The date parser is the engine's own."""
     report = IngestReport()
     documents: list[Document] = []
-    for record in _records(lines, report):
+    for record in reference_records(lines, report):
         doc_id, raw, raw_day = record.get("id"), record.get("mentions"), record.get("date")
         if not _reference_doc_id_ok(doc_id) or not _reference_mentions_ok(raw):
             report.reasons[SKIP_MALFORMED] += 1

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import errno
+import gc
+import hashlib
 import importlib.util
 import json
 import os
 import random
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -25,6 +27,7 @@ from chronorank.corpus import (
     SKIP_DUPLICATE,
     SKIP_MALFORMED,
     Corpus,
+    Document,
     IngestReport,
     _ingest_span,
     _load_naming,
@@ -124,7 +127,7 @@ def test_repeated_mention_entity_is_malformed():
 
 @pytest.mark.parametrize(
     "count",
-    [0, -1, 2.0, "2", True, None],
+    [0, -1, 2.0, 1.0, "2", True, None],
 )
 def test_bad_mention_count_is_malformed(count):
     line = json.dumps({"id": "a1", "date": "1990-02-11", "mentions": [{"entity": "ent:x", "count": count}]})
@@ -229,6 +232,32 @@ near_records = st.fixed_dictionaries(
         "categories": st.lists(st.text(max_size=4), max_size=3) | json_values,
     },
 )
+# Values on which a parse by json.loads and one by its scanner alone could
+# part ways, each framed by characters that str.strip drops and JSON does not
+# skip (U+3000, U+001C, U+0085), by a BOM, or by data after the value.
+_EDGE_RECORD = '{"id": "edge", "date": "1990-02-11", "mentions": [{"entity": "ent:a", "count": %s}]}'
+EDGE_VALUES = [
+    _EDGE_RECORD % "1",
+    _EDGE_RECORD % "NaN",
+    _EDGE_RECORD % "Infinity",
+    _EDGE_RECORD % "-Infinity",
+    _EDGE_RECORD % ("9" * 5000),
+    '{"a": ' * (sys.getrecursionlimit() + 10) + "1" + "}" * (sys.getrecursionlimit() + 10),
+    "NaN",
+]
+EDGE_PREFIXES = ["", "\u3000", "\x1c", "\x85", "\ufeff"]
+EDGE_SUFFIXES = ["", "\u3000", "\x1c", "\x85", " x", " {}", "x"]
+scanner_edges = st.builds(
+    lambda prefix, value, suffix: prefix + value + suffix,
+    st.sampled_from(EDGE_PREFIXES),
+    st.sampled_from(EDGE_VALUES),
+    st.sampled_from(EDGE_SUFFIXES),
+)
+EDGE_LINES = [
+    *(prefix + EDGE_VALUES[0] for prefix in EDGE_PREFIXES),
+    *(EDGE_VALUES[0] + suffix for suffix in EDGE_SUFFIXES),
+    *EDGE_VALUES[1:],
+]
 fuzz_lines = st.lists(
     st.one_of(
         st.text(),
@@ -236,6 +265,7 @@ fuzz_lines = st.lists(
         json_values.map(json.dumps),
         near_records.map(json.dumps),
         near_records.map(lambda r: json.dumps(r).encode("utf-8")),
+        scanner_edges,
     ),
     max_size=8,
 )
@@ -286,10 +316,12 @@ pool_records = st.fixed_dictionaries(
 
 
 @settings(max_examples=300)
-@given(lines=st.lists(pool_records.map(json.dumps) | near_records.map(json.dumps), max_size=6))
+@given(lines=st.lists(pool_records.map(json.dumps) | near_records.map(json.dumps) | scanner_edges, max_size=6))
+@example(lines=EDGE_LINES)
 def test_ingest_matches_the_reference_parser(lines):
     # Every line comes twice: its ids are new to parse_corpus the first time
-    # and already validated the second.
+    # and already validated the second, and a line 0 with a BOM comes again
+    # later, where the BOM makes it malformed.
     lines = lines + lines
     corpus, report = parse_corpus(lines)
     documents, reasons = reference_parse_corpus(lines)
@@ -732,14 +764,20 @@ TOPIC_PAIR = frozenset({"topic:alpha", "topic:beta"})
 
 
 @pytest.fixture(scope="module")
-def seed1(tmp_path_factory):
-    """The seed-1 benchmark corpus, 101,000 lines: its lines, the topic
-    pair's kept documents, and the id and line number of one of them, near
-    the middle of the file."""
+def seed1_path(tmp_path_factory):
+    """The path of the seed-1 benchmark corpus, 101,000 lines."""
     path = tmp_path_factory.mktemp("seed1") / "corpus.jsonl"
     bench_gen().write_corpus(path, 1)
-    lines = path.read_bytes().splitlines(keepends=True)
-    kept, usable = _load_naming(path, TOPIC_PAIR)
+    return path
+
+
+@pytest.fixture(scope="module")
+def seed1(seed1_path):
+    """The seed-1 benchmark corpus: its lines, the topic pair's kept
+    documents, and the id and line number of one of them, near the middle
+    of the file."""
+    lines = seed1_path.read_bytes().splitlines(keepends=True)
+    kept, usable = _load_naming(seed1_path, TOPIC_PAIR)
     assert usable
     doc_id = kept.documents[len(kept) // 2].id
     at = next(n for n, line in enumerate(lines) if line.startswith(b'{"id": "%s"' % doc_id.encode()))
@@ -778,6 +816,34 @@ def test_an_accepted_line_that_takes_a_kept_id_first_drops_that_document_at_scal
     assert len(decoded) == 2 and decoded[1] == decoded[0] + 1
     expected = [doc for doc in kept_fields(kept) if doc[0] != doc_id]
     assert usable and kept_fields(found) == expected == fields(*load_corpus(path, mentioning=TOPIC_PAIR))[0]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_ingest_of_the_seed1_corpus_is_pinned(seed1_path):
+    # Pinned, not compared with reference_parse_corpus, whose duplicate check
+    # is quadratic: far too slow for 100,000 records.
+    corpus, report = load_corpus(seed1_path)
+    documents = [(d.id, d.published_at.isoformat(), list(d.mentions.items())) for d in corpus.documents]
+    assert sha256(json.dumps(documents)) == "4450391be4a4bb69faa1121423809b624f260ba44d681dcee186e258d6279e47"
+    assert tallies(report) == (100000, {SKIP_MALFORMED: 500, SKIP_DATELESS: 250, SKIP_DUPLICATE: 250})
+
+
+SEED1_STATS_SHA256 = {
+    "day": "85dac3f66cb1527d0f5c6d39eba85af1430cbd08541eac9563d2eab57e1ad4d8",
+    "week": "a3a1a366c3d464f9299c786fa51593d00aece0c6621b8f10b9d017b734401422",
+    "month": "091e4c49596743c21d9357cae68b775ba90d28db3b60341fa8d6d89fb55caf01",
+    "year": "0debadbb5a2a97a734db34fd17686ac916eabaaaa7e4616b3d714fd7dbead71e",
+}
+
+
+@pytest.mark.parametrize("granularity", list(SEED1_STATS_SHA256))
+def test_stats_of_the_seed1_corpus_is_pinned(seed1_path, granularity, run_cli):
+    code, out, err = run_cli("stats", str(seed1_path), "--granularity", granularity)
+    assert (code, err) == (0, "")
+    assert sha256(out) == SEED1_STATS_SHA256[granularity]
 
 
 def corpus_lines(corpus: Corpus) -> list[str]:
@@ -879,6 +945,92 @@ def test_entity_ids_compare_exactly_without_normalization():
 def test_mentions_are_rekeyed_in_sorted_order():
     doc = make_doc("a1", "1990-02-11", {"ent:z": 1, "ent:a": 2})
     assert list(doc.mentions) == ["ent:a", "ent:z"]
+
+
+def test_ingested_documents_are_indistinguishable_from_constructed_ones():
+    lines = [
+        record("a1", "1990-02-11", [("ent:z", 1), ("ent:a", 2), ("ent:m", 3)]),
+        record("a2", "1990-02-12", [("ent:b", 4)]),
+        record("a3", "1990-02-13", []),
+        record("a4", "1990-02-14", [("ent:y", 1), ("ent:x", 1)]),
+    ]
+    corpus, _ = parse_corpus(lines)
+    assert [d.id for d in corpus.documents] == ["a1", "a2", "a3", "a4"]
+    for doc in corpus.documents:
+        # Built from the mentions in reverse, so that the constructor must sort.
+        built = Document(id=doc.id, published_at=doc.published_at, mentions=dict(reversed(doc.mentions.items())))
+        assert type(doc) is Document
+        assert doc == built
+        assert repr(doc) == repr(built)
+        assert list(doc.mentions.items()) == list(built.mentions.items()) == sorted(doc.mentions.items())
+        for name in ("id", "published_at", "mentions"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(doc, name, getattr(built, name))
+        assert not hasattr(doc, "__dict__")
+    unsorted = {"ent:c": 1, "ent:a": 2, "ent:b": 3}
+    assert list(Document(id="d", published_at=date(1990, 1, 1), mentions=unsorted).mentions) == ["ent:a", "ent:b", "ent:c"]
+
+
+@pytest.mark.parametrize(
+    "mentions",
+    [[("ent:b", 1), ("ent:a", 1), ("ent:b", 2)], [("ent:a", 1), ("ent:a", 1)]],
+    ids=["apart", "same-count"],
+)
+def test_an_entity_repeated_anywhere_in_the_mentions_is_malformed(mentions):
+    corpus, report = parse_corpus([record("a1", "1990-02-11", mentions), GOOD_2])
+    assert [d.id for d in corpus.documents] == ["a2"]
+    assert tallies(report) == (1, {SKIP_MALFORMED: 1})
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state after the test, whatever it set."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def lines_then(error: Exception | None = None):
+    """GOOD_1 and GOOD_2, recording the collector's state as each is drawn;
+    with error set, raise it after the first."""
+    states = []
+
+    def lines():
+        states.append(gc.isenabled())
+        yield GOOD_1
+        if error is not None:
+            raise error
+        states.append(gc.isenabled())
+        yield GOOD_2
+
+    return states, lines()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_ingest_and_index_build_hold_the_collector_and_restore_its_state(enabled, gc_state, tmp_path):
+    (gc.enable if enabled else gc.disable)()
+    states, lines = lines_then()
+    corpus, report = parse_corpus(lines)
+    assert report.accepted == 2 and states == [False, False]
+    assert gc.isenabled() is enabled
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_1 + "\n" + GOOD_2 + "\n")
+    assert load_corpus(path)[0].documents == corpus.documents
+    assert gc.isenabled() is enabled
+    assert set(build_index(corpus).doc_table) == {"a1", "a2"}
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_an_error_from_the_source_propagates_and_restores_the_collector(enabled, gc_state):
+    (gc.enable if enabled else gc.disable)()
+    error = OSError(errno.EIO, "read failed")
+    states, lines = lines_then(error)
+    with pytest.raises(OSError) as raised:
+        parse_corpus(lines)
+    assert raised.value is error
+    assert states == [False]
+    assert gc.isenabled() is enabled
 
 
 def test_equal_entity_ids_share_one_string():
