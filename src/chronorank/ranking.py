@@ -68,7 +68,7 @@ from itertools import chain, repeat
 from operator import add, attrgetter
 from typing import Callable, Iterable
 
-from .corpus import Corpus, Document, EntityId, _gc_paused
+from .corpus import Corpus, Document, EntityId
 from .query import Granularity, Query, Semantics, period_of
 
 
@@ -128,22 +128,17 @@ def build_index(corpus: Corpus, granularity: Granularity | None = None) -> Corpu
     Walking the documents in (published_at, id) order fills every posting in
     that order.
     """
-    # The index makes two containers per distinct entity. With 400k distinct
-    # entities over 100k documents, holding the collector took the build
-    # from 0.75 to 0.55 s (2-core host, Python 3.11); with the bench
-    # corpora's 5k it changes nothing.
-    with _gc_paused():
-        # Two stable sorts on single keys run about twice as fast as one sort
-        # on a (date, id) tuple key, and give the same order.
-        by_id = sorted(corpus.documents, key=attrgetter("id"))
-        by_entity: dict[EntityId, list[str]] = defaultdict(list)
-        for doc in sorted(by_id, key=attrgetter("published_at")):
-            for entity in doc.mentions:
-                by_entity[entity].append(doc.id)
-        return CorpusIndex(
-            docs_by_entity={e: tuple(ids) for e, ids in by_entity.items()},
-            doc_table={doc.id: doc for doc in corpus.documents},
-        )
+    # Two stable sorts on single keys run about twice as fast as one sort
+    # on a (date, id) tuple key, and give the same order.
+    by_id = sorted(corpus.documents, key=attrgetter("id"))
+    by_entity: dict[EntityId, list[str]] = defaultdict(list)
+    for doc in sorted(by_id, key=attrgetter("published_at")):
+        for entity in doc.mentions:
+            by_entity[entity].append(doc.id)
+    return CorpusIndex(
+        docs_by_entity={e: tuple(ids) for e, ids in by_entity.items()},
+        doc_table={doc.id: doc for doc in corpus.documents},
+    )
 
 
 @dataclass(frozen=True)
