@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 from collections import Counter
 from typing import IO
 
@@ -68,23 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A part smaller than this saves less than its process costs to start.
-_PART_FLOOR = 4 << 20
-
-
-def _ingest_parts(path: str) -> int:
-    """How many parts validate ingests path in: one per CPU this process
-    may use, each of at least _PART_FLOOR bytes. One where os.fork is
-    missing, or unsafe because another thread is running."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, os.path.getsize(path) // _PART_FLOOR))
-
-
 def _print_report(report: IngestReport, out: IO[str]) -> None:
     print(f"accepted: {report.accepted}", file=out)
     print(f"skipped: {report.skipped}", file=out)
@@ -98,8 +80,7 @@ def _require_documents(usable: bool) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    parts = _ingest_parts(args.corpus)  # the tallies alone, from no document kept
-    report = load_in_parts(args.corpus, parts) if parts > 1 else load_corpus(args.corpus, mentioning=frozenset())[1]
+    report = load_in_parts(args.corpus)  # the tallies alone, from no document kept
     if args.catalog is not None:  # read before printing, so an I/O error prints no tallies
         catalog, cat_report = load_entity_catalog(args.catalog)
     _print_report(report, sys.stdout)

@@ -12,32 +12,31 @@ A catalog file maps entities to category ids, one JSON object per line:
 Ingest never aborts on bad input. Broken lines are skipped and tallied by
 reason so callers can report exactly what was dropped.
 
-A caller that needs only the documents naming some entities, as a query
-does, passes them as mentioning=. Every line is still decoded, checked and
-tallied, and its id still takes part in the duplicate rule; an accepted
-document that names none of them is counted and not kept.
+The CLI's rank needs only the documents that name a query entity, and the
+tallies only to tell an empty answer from a file with no usable line, so it
+reads in full only the lines that can change which are kept (_load_naming).
+A line with no backslash spells each JSON string as its UTF-8 bytes, so
+unless it shows a query entity as an "entity" value it is not a kept
+document. Such a value is the entity's bytes between two quotes, so a line
+that holds none of the quoted query entities ('"' + entity + '"') is not one
+either: that test ignores the key, so it may pass extra lines, but it never
+drops one that matters. A line that is not read can still take a kept
+document's id first, so the lines that show such an id as an "id" value
+before that document are read in full too. The documents kept are those of
+load_corpus that name a query entity, in the same order. If it keeps none
+and no line it read is accepted, it reads on from the start of the file up
+to the first accepted record, if there is one. A stream that cannot seek,
+such as a pipe, is read once, in full.
 
-The CLI's rank needs those documents, and the tallies only to tell an
-empty answer from a file with no usable line, so it reads in full only the
-lines that can change which are kept (_load_naming). A line with
-no backslash spells each JSON string as its UTF-8 bytes, so unless it shows
-a query entity as an "entity" value it is not a kept document. Such a value
-is the entity's bytes between two quotes, so a line that holds none of the
-quoted query entities ('"' + entity + '"') is not one either: that test
-ignores the key, so it may pass extra lines, but it never drops one that
-matters. A line that is not read can still take a kept document's id first,
-so the lines that show such an id as an "id" value before that document are
-read in full too. The documents kept are load_corpus's, in the same order.
-If it keeps none and no line it read is accepted, it reads on from the
-start of the file up to the first accepted record, if there is one.
-
-For the tallies alone, as the CLI's validate needs them, a file can also
-be read in byte-range parts, cut just after a line break, each part
-ingested on its own and the parts merged in file order (load_in_parts).
-Only the duplicate rule reaches across lines, so the merge is exact: a
-part's first record of an id already accepted by an earlier part is a
-duplicate, not an accepted record. The other skip reasons are tallied as
-they are, and a BOM is stripped only in the part that starts at byte 0.
+For the tallies alone, as the CLI's validate needs them, load_in_parts
+reads a file in byte-range parts, one per CPU and each of at least
+_PART_FLOOR bytes, cut just after a line break: the first part is ingested
+in this process, each other one in a forked child, and the parts merge in
+file order. Only the duplicate rule reaches across lines, so the merge is
+exact: a part's first record of an id already accepted by an earlier part
+is a duplicate, not an accepted record. The other skip reasons are tallied
+as they are, and a BOM is stripped only in the part that starts at byte 0.
+A file too small for two parts, or a stream, is read whole in this process.
 """
 
 from __future__ import annotations
@@ -47,13 +46,14 @@ import json
 import os
 import pickle
 import re
+import threading
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from itertools import takewhile
+from itertools import starmap
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -262,21 +262,17 @@ def _mentions_from_record(raw: object, known: dict[EntityId, EntityId]) -> dict[
     return mentions if len(mentions) == len(pairs) else None
 
 
-def _parse_records(
-    records: Iterable[dict],
-    report: IngestReport,
-    mentioning: frozenset[EntityId] | None,
-    documents: list[Document],
-) -> set[str]:
-    """Ingest one run of records: append the documents to keep to
-    documents, in order, tally into report, and return the set of ids
-    accepted."""
-    seen: set[str] = set()
+def _accepted(
+    source: LineSource, report: IngestReport, seen: set[str], *, at_start: bool = True
+) -> Iterator[tuple[str, date, dict[EntityId, int]]]:
+    """Ingest source's lines as _records reads them, tallying each into
+    report; for each accepted record, one whose id is not yet in seen, add
+    its id to seen and yield its id, day and mention map."""
     known: dict[EntityId, EntityId] = {}
     # Corpora repeat dates, so each distinct date string is parsed once and
     # its documents share one date object.
     days: dict[str, date | None] = {}
-    for record in records:
+    for record in _records(source, report, at_start=at_start):
         doc_id = record.get("id")
         if not isinstance(doc_id, str) or not doc_id or _BAD_DOC_ID_CHAR_RE.search(doc_id):
             report.reasons[SKIP_MALFORMED] += 1
@@ -300,14 +296,10 @@ def _parse_records(
             continue
         seen.add(doc_id)
         report.accepted += 1
-        if mentioning is None or not mentioning.isdisjoint(mentions):
-            documents.append(_document(doc_id, day, mentions))
-    return seen
+        yield doc_id, day, mentions
 
 
-def parse_corpus(
-    source: LineSource, *, mentioning: frozenset[EntityId] | None = None
-) -> tuple[Corpus, IngestReport]:
+def parse_corpus(source: LineSource) -> tuple[Corpus, IngestReport]:
     """Parse line-delimited document records into a Corpus.
 
     Blank lines are ignored. A line is skipped and tallied rather than raised:
@@ -315,16 +307,11 @@ def parse_corpus(
     missing or unparseable date, "duplicate" for a repeated document id (the
     first record wins). Time-of-day suffixes on dates are truncated.
 
-    With mentioning set, an accepted record that names none of its entities
-    is tallied accepted, and its id still shadows later records, but no
-    Document is built for it. The report does not depend on mentioning.
-
     Returns the corpus together with the ingest report.
     """
     report = IngestReport()
-    documents: list[Document] = []
     with _gc_paused():
-        _parse_records(_records(source, report), report, mentioning, documents)
+        documents = list(starmap(_document, _accepted(source, report, set())))
     return Corpus(documents=documents), report
 
 
@@ -351,13 +338,11 @@ def parse_entity_catalog(source: LineSource) -> tuple[dict[EntityId, set[str]], 
     return entries, report
 
 
-def load_corpus(
-    path: str | Path, *, mentioning: frozenset[EntityId] | None = None
-) -> tuple[Corpus, IngestReport]:
+def load_corpus(path: str | Path) -> tuple[Corpus, IngestReport]:
     """Read a corpus file from disk, as parse_corpus does. I/O errors
     propagate to the caller."""
     with open(path, "rb") as handle:
-        return parse_corpus(handle, mentioning=mentioning)
+        return parse_corpus(handle)
 
 
 # One part's result: the ids it accepted and its tallies.
@@ -378,9 +363,9 @@ def _span_lines(handle: IO[bytes], start: int, end: int) -> Iterator[bytes]:
 def _ingest_span(handle: IO[bytes], start: int, end: int) -> _Part:
     """Ingest the lines between byte offsets start and end, each just after a
     line break or at an end of the file, and keep no document."""
-    report = IngestReport()
-    records = _records(_span_lines(handle, start, end), report, at_start=start == 0)
-    return _parse_records(records, report, frozenset(), []), report
+    report, seen = IngestReport(), set()
+    deque(_accepted(_span_lines(handle, start, end), report, seen, at_start=start == 0), maxlen=0)
+    return seen, report
 
 
 def _merge(parts: Iterable[_Part]) -> IngestReport:
@@ -460,20 +445,44 @@ def _receive(pid: int, pipe: IO[bytes]) -> _Part | None:
         return None
 
 
-def load_in_parts(path: str | Path, parts: int) -> IngestReport:
-    """The report load_corpus gives for a corpus file, from up to parts byte
-    ranges ingested in parallel: parts - 1 forked children and this
-    process. No document is kept.
+# A part smaller than this saves less than its process costs to start.
+_PART_FLOOR = 4 << 20
+
+
+def _parts(handle: IO[bytes]) -> int:
+    """How many parts load_in_parts ingests handle's file in: one per CPU
+    this process may use, each of at least _PART_FLOOR bytes. One where
+    os.fork is missing, or unsafe because another thread is running, and
+    for a stream, whose size reads 0."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, os.fstat(handle.fileno()).st_size // _PART_FLOOR))
+
+
+def load_in_parts(path: str | Path) -> IngestReport:
+    """The report load_corpus gives for a corpus file, from byte ranges
+    ingested in parallel, as many as _parts picks: one in this process and
+    each other one in a forked child. No document is kept. With one part,
+    the file is read whole in this process, with no seek.
 
     A part whose child cannot be started, exits other than 0 or sends a
     part that does not decode is ingested here instead. Every child is
-    reaped before this returns or raises. With parts above 1 it needs
-    os.fork: call it so only from a process with no other thread.
+    reaped before this returns or raises.
     """
     with ExitStack() as stack:
+        first = stack.enter_context(open(path, "rb"))
+        parts = _parts(first)
+        if parts == 1:
+            report = IngestReport()
+            deque(_accepted(first, report, set()), maxlen=0)
+            return report
         # One handle per part, opened before any fork: every part reads the
         # same file, and no two parts share a file offset.
-        handles = [stack.enter_context(open(path, "rb")) for _ in range(parts)]
+        handles = [first, *(stack.enter_context(open(path, "rb")) for _ in range(parts - 1))]
         spans = _spans(handles[0], parts)
         children: list[tuple[int, IO[bytes]] | None] = []
         try:
@@ -600,12 +609,13 @@ def _shadowing(handle: IO[bytes], gaps: list[int], kept_at: dict[bytes, int]) ->
 
 
 def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpus, bool]:
-    """The documents load_corpus(path, mentioning=entities) keeps, in the
-    same order, and whether it accepts a line at all; only the lines that
-    can change the documents are read in full, with every check. If it keeps
-    none and no line it reads is accepted, it reads the file again from the
-    start, in this process, up to the first accepted record: only that tells
-    an empty answer from a file with no usable line.
+    """The documents of load_corpus(path) that name one of entities, in the
+    same order, and whether load_corpus accepts a line at all; only the
+    lines that can change the documents are read in full, with every check.
+    If it keeps none and no line it reads is accepted, it reads the file
+    again from the start, in this process, up to the first accepted record:
+    only that tells an empty answer from a file with no usable line. A
+    stream that cannot seek is read once, in full.
 
     A line is known by its byte offset. A candidate line is line 0, so that
     a BOM is stripped from it alone, or a line that holds a backslash, or
@@ -629,8 +639,17 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
     # A lone surrogate has no UTF-8 form, and its surrogatepass bytes can
     # only match a line that is not UTF-8, so reading that line changes nothing.
     wanted = frozenset(entity.encode("utf-8", "surrogatepass") for entity in entities)
-    report = IngestReport()
     documents: list[Document] = []
+
+    # Each kept document is appended before the next line is drawn, as
+    # candidates() below needs.
+    def keep(lines: Iterable[bytes]) -> IngestReport:
+        report = IngestReport()
+        for doc_id, day, mentions in _accepted(lines, report, set()):
+            if not entities.isdisjoint(mentions):
+                documents.append(_document(doc_id, day, mentions))
+        return report
+
     # The lines read, as runs of adjacent lines in file order: each run's
     # start, then its end. A flat list of ints is one object to the garbage
     # collector, where pairs would be one per run and could set off a full
@@ -641,6 +660,8 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
     # malformed, so every kept id has a UTF-8 form.
     kept_at: dict[bytes, int] = {}
     with open(path, "rb") as handle:
+        if not handle.seekable():  # a pipe, say: no line can be read twice
+            return Corpus(documents=documents), keep(handle).accepted > 0
         if len(wanted) <= _FIND_ENTITIES:
             found = _found(handle, [b"\\", *(b'"' + entity + b'"' for entity in wanted)])
         else:
@@ -666,23 +687,20 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
                 read.extend((start, handle.tell()))
                 kept_at.update((document.id.encode("utf-8"), start) for document in documents[kept:])
 
-        _parse_records(_records(candidates(), report), report, entities, documents)
+        usable = keep(candidates()).accepted > 0
         if not documents:
-            if not report.accepted:
+            if not usable:
                 # No line is decoded after the first accepted record.
                 handle.seek(0)
-                lines = takewhile(lambda _: not report.accepted, handle)
-                _parse_records(_records(lines, report), report, frozenset(), documents)
-            return Corpus(documents=documents), report.accepted > 0
+                usable = next(_accepted(handle, IngestReport(), set()), None) is not None
+            return Corpus(documents=documents), usable
         # The gaps between the runs read, up to the last kept document's line.
         gaps = read[1 : bisect_right(read, max(kept_at.values()))]
         shadowing = list(_shadowing(handle, gaps, kept_at))
         if shadowing:
-            report = IngestReport()
-            documents = []
+            documents.clear()
             spans = sorted([*zip(read[::2], read[1::2]), *shadowing])
-            lines = (line for span in spans for line in _span_lines(handle, *span))
-            _parse_records(_records(lines, report), report, entities, documents)
+            keep(line for span in spans for line in _span_lines(handle, *span))
     # A kept document's line is accepted, so the file has a usable line.
     return Corpus(documents=documents), True
 

@@ -12,7 +12,17 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import chronorank
-from chronorank import Granularity, Query, QueryContext, Semantics, build_index, match_documents, period_of, rank
+from chronorank import (
+    Granularity,
+    Query,
+    QueryContext,
+    Semantics,
+    build_index,
+    load_corpus,
+    match_documents,
+    period_of,
+    rank,
+)
 from chronorank.corpus import (
     SKIP_DATELESS,
     SKIP_DUPLICATE,
@@ -256,6 +266,13 @@ def reference_parse_corpus(lines) -> tuple[list[Document], Counter]:
             mentions = {item["entity"]: item["count"] for item in raw}
             documents.append(Document(id=doc_id, published_at=_parse_day(raw_day), mentions=mentions))
     return documents, report.reasons
+
+
+def load_corpus_naming(path, entities: frozenset[str]) -> tuple[Corpus, IngestReport]:
+    """load_corpus(path) with only its documents that name one of entities,
+    in order, and its whole report: what the CLI's rank keeps of a file."""
+    corpus, report = load_corpus(path)
+    return Corpus(documents=[d for d in corpus.documents if not entities.isdisjoint(d.mentions)]), report
 
 
 def _reference_doc_id_ok(doc_id: object) -> bool:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronorank import Granularity, Query, Semantics, build_index, cli, load_corpus, rank
+from chronorank import corpus as corpus_module
 from helpers import child_env, golden
 
 RANK_FLAGS = [
@@ -119,17 +120,20 @@ def test_rank_indexes_only_the_documents_naming_a_query_entity(run_cli, fixture_
 
 
 def test_validate_keeps_no_document(run_cli, fixture_corpus_path, monkeypatch):
-    kept = []
+    built = []
+    document = corpus_module._document
 
-    def recording_load_corpus(path, **kwargs):
-        corpus, report = load_corpus(path, **kwargs)
-        kept.append(len(corpus))
-        return corpus, report
+    def recording_document(*fields):
+        built.append(fields[0])
+        return document(*fields)
 
-    monkeypatch.setattr(cli, "load_corpus", recording_load_corpus)
+    monkeypatch.setattr(corpus_module, "_document", recording_document)
     code, out, _ = run_cli("validate", str(fixture_corpus_path))
-    assert (code, kept) == (0, [0])
+    assert (code, built) == (0, [])
     assert "accepted: 6" in out
+    # stats keeps every document, each built as it is accepted.
+    assert run_cli("stats", str(fixture_corpus_path))[0] == 0
+    assert len(built) == 6
 
 
 def test_rank_default_columns_are_rank_id_total(run_cli, fixture_corpus_path):
@@ -457,13 +461,12 @@ def test_rank_into_a_closed_pipe_exits_two_silently(tmp_path):
 def in_parts(monkeypatch, forked):
     """The CLI splitting even a one-line corpus into up to four parts; the
     pids it forks."""
-    monkeypatch.setattr(cli, "_PART_FLOOR", 1)
+    monkeypatch.setattr(corpus_module, "_PART_FLOOR", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     return forked
 
 
 def test_cli_ingest_in_parts_leaves_no_child_process(run_cli, fixture_corpus_path, tmp_path, in_parts):
-    assert cli._ingest_parts(str(fixture_corpus_path)) == 4
     assert run_cli(*fixture_args(fixture_corpus_path, "--explain")) == (0, golden("rank_all_month.tsv"), "")
     mixed = tmp_path / "mixed.jsonl"
     mixed.write_text("".join(json.dumps({"id": i, "date": "1990-01-01", "mentions": []}) + "\n" for i in "abcab"))
@@ -481,7 +484,7 @@ def test_cli_ingest_in_parts_leaves_no_child_process(run_cli, fixture_corpus_pat
         finally:
             sys.stdout = stdout
     assert code == 2
-    # validate forks three parts; rank, even of a corpus with no usable line,
+    # validate forks three children, one per part but its own; rank, even of a corpus with no usable line,
     # forks nothing.
     assert len(in_parts) == 3
     with pytest.raises(ChildProcessError):
@@ -496,14 +499,40 @@ def test_cli_with_a_live_thread_ingests_in_one_part(run_cli, fixture_corpus_path
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
     try:
-        parts = cli._ingest_parts(str(fixture_corpus_path))
         result = run_cli("validate", str(fixture_corpus_path))
     finally:
         stop.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
-    assert (parts, in_parts) == (1, [])
+    assert in_parts == []
     assert result == (0, "accepted: 6\nskipped: 0\n", "")
+
+
+def run_on_a_pipe(data: bytes, *argv: str) -> tuple[int, str, str]:
+    """Run the CLI in a child process whose stdin is a pipe fed data."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronorank.cli", *argv], input=data, capture_output=True, env=child_env(), timeout=60
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+@pytest.mark.parametrize("granularity", ["day", "week", "month", "year"])
+def test_rank_reads_a_corpus_from_a_pipe(fixture_corpus_path, granularity):
+    flags = [*RANK_FLAGS, "--granularity", granularity, "--explain"]
+    result = run_on_a_pipe(fixture_corpus_path.read_bytes(), "rank", "/dev/stdin", *flags)
+    assert result == (0, golden(f"rank_all_{granularity}.tsv"), "")
+
+
+def test_rank_of_a_pipe_with_no_usable_line_is_a_domain_error():
+    assert run_on_a_pipe(b"junk\n" * 8, "rank", "/dev/stdin", *RANK_FLAGS) == (1, "", "error: no documents ingested\n")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["stats", "--granularity", "week"]], ids=["validate", "stats"])
+def test_validate_and_stats_read_a_pipe_as_they_read_the_file(run_cli, fixture_corpus_path, command):
+    name, *flags = command
+    from_file = run_cli(name, str(fixture_corpus_path), *flags)
+    assert from_file[0] == 0
+    assert run_on_a_pipe(fixture_corpus_path.read_bytes(), name, "/dev/stdin", *flags) == from_file
 
 
 def test_rank_output_is_stable_across_hash_seeds(fixture_corpus_path):

@@ -11,6 +11,7 @@ import os
 import random
 import sys
 import tempfile
+import threading
 from dataclasses import FrozenInstanceError, replace
 from datetime import date
 from pathlib import Path
@@ -36,7 +37,7 @@ from chronorank.corpus import (
     load_in_parts,
 )
 
-from helpers import make_doc, random_case, reference_parse_corpus
+from helpers import load_corpus_naming, make_doc, random_case, reference_parse_corpus
 
 
 def record(doc_id, day, mentions):
@@ -46,6 +47,12 @@ def record(doc_id, day, mentions):
 
 GOOD_1 = record("a1", "1990-02-11", [("ent:x", 2)])
 GOOD_2 = record("a2", "1990-02-12", [("ent:x", 1), ("ent:y", 3)])
+
+# Query entities that no line names: with them, a query has more entities
+# than _load_naming finds by byte scans, so it tests each line instead.
+PADDING = frozenset(f"ent:p{i}" for i in range(corpus_module._FIND_ENTITIES))
+# A query of ent:x as each branch of _load_naming reads it.
+X_BY_BRANCH = {"byte-scan": frozenset({"ent:x"}), "per-line": PADDING | {"ent:x"}}
 
 
 def test_two_clean_records():
@@ -93,25 +100,33 @@ def test_duplicate_id_keeps_first_record():
     assert corpus.documents[0].mentions == {"ent:x": 2}
 
 
-def test_a_record_naming_no_wanted_entity_still_shadows_a_later_duplicate():
-    lines = [record("a1", "1990-02-11", [("ent:z", 1)]), record("a1", "1990-02-12", [("ent:x", 1)])]
-    corpus, report = parse_corpus(lines, mentioning=frozenset({"ent:x"}))
-    assert corpus.documents == []
-    assert report.accepted == 1
-    assert report.reasons == {SKIP_DUPLICATE: 1}
+def test_a_record_naming_no_wanted_entity_still_shadows_a_later_duplicate(tmp_path):
+    # a1 is taken first past line 0, which _load_naming always reads, by a
+    # line that names no query entity.
+    lines = [record("a0", "1990-02-10", [("ent:w", 1)]), record("a1", "1990-02-11", [("ent:z", 1)]), GOOD_1]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert tallies(load_corpus(path)[1]) == (2, {SKIP_DUPLICATE: 1})
+    for entities in X_BY_BRANCH.values():
+        corpus, usable = _load_naming(path, entities)
+        assert (corpus.documents, usable) == ([], True)
 
 
-@pytest.mark.parametrize("mentioning", [None, frozenset({"ent:x"})])
-def test_a_skipped_record_shadows_no_later_duplicate(mentioning):
+@pytest.mark.parametrize("entities", X_BY_BRANCH.values(), ids=X_BY_BRANCH.keys())
+def test_a_skipped_record_shadows_no_later_duplicate(tmp_path, entities):
     lines = [
         record("a1", "1990-02-11", [("ent:x", 0)]),
         record("a1", "1990-02-30", [("ent:x", 1)]),
         record("a1", "1990-02-12", [("ent:x", 2)]),
     ]
-    corpus, report = parse_corpus(lines, mentioning=mentioning)
+    corpus, report = parse_corpus(lines)
     assert [(d.id, d.mentions) for d in corpus.documents] == [("a1", {"ent:x": 2})]
     assert report.accepted == 1
     assert report.reasons == {SKIP_MALFORMED: 1, SKIP_DATELESS: 1}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    kept, usable = _load_naming(path, entities)
+    assert usable and kept.documents == corpus.documents
 
 
 def test_repeated_mention_entity_is_malformed():
@@ -423,6 +438,15 @@ def three_part_corpus(path):
 
 
 @pytest.fixture
+def in_three_parts(monkeypatch, forked):
+    """load_in_parts cutting even a small file into three parts; the pids it
+    forks."""
+    monkeypatch.setattr(corpus_module, "_PART_FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return forked
+
+
+@pytest.fixture
 def received(monkeypatch):
     """The part load_in_parts receives from each child, None if none, in
     part order."""
@@ -437,26 +461,26 @@ def received(monkeypatch):
     return parts
 
 
-def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, forked, received):
+def test_ingest_in_forked_parts_equals_load_corpus(tmp_path, in_three_parts, received):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
-    assert tallies(load_in_parts(path, 3)) == tallies(load_corpus(path)[1])
-    assert len(forked) == 2
+    assert tallies(load_in_parts(path)) == tallies(load_corpus(path)[1])
+    assert len(in_three_parts) == 2
     # Every child sends its part: the ids it accepted and its tallies.
     assert [part is not None for part in received] == [True, True]
 
 
 @pytest.mark.parametrize("failure", ["raises", "sends-garbage"])
-def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, received, monkeypatch, failure):
+def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, in_three_parts, received, monkeypatch, failure):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
     parent = os.getpid()
-    parse_records, dump = corpus_module._parse_records, corpus_module.pickle.dump
+    accepted, dump = corpus_module._accepted, corpus_module.pickle.dump
 
-    def raising_in_a_child(*args):
+    def raising_in_a_child(*args, **kwargs):
         if os.getpid() != parent:
             raise RuntimeError("a child's ingest fails")
-        return parse_records(*args)
+        return accepted(*args, **kwargs)
 
     def garbage_from_a_child(obj, pipe, **kwargs):
         if os.getpid() == parent:
@@ -464,14 +488,14 @@ def test_a_part_whose_child_fails_is_ingested_by_the_parent(tmp_path, forked, re
         pipe.write(b"not a pickle")
 
     if failure == "raises":
-        monkeypatch.setattr(corpus_module, "_parse_records", raising_in_a_child)
+        monkeypatch.setattr(corpus_module, "_accepted", raising_in_a_child)
     else:
         monkeypatch.setattr(corpus_module.pickle, "dump", garbage_from_a_child)
-    assert tallies(load_in_parts(path, 3)) == tallies(load_corpus(path)[1])
-    assert (len(forked), received) == (2, [None, None])
+    assert tallies(load_in_parts(path)) == tallies(load_corpus(path)[1])
+    assert (len(in_three_parts), received) == (2, [None, None])
 
 
-def test_a_part_with_no_pipe_is_ingested_by_the_parent(tmp_path, forked, monkeypatch):
+def test_a_part_with_no_pipe_is_ingested_by_the_parent(tmp_path, in_three_parts, monkeypatch):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
 
@@ -479,11 +503,11 @@ def test_a_part_with_no_pipe_is_ingested_by_the_parent(tmp_path, forked, monkeyp
         raise OSError(errno.EMFILE, "Too many open files")
 
     monkeypatch.setattr(os, "pipe", no_pipe)
-    assert tallies(load_in_parts(path, 3)) == tallies(load_corpus(path)[1])
-    assert forked == []
+    assert tallies(load_in_parts(path)) == tallies(load_corpus(path)[1])
+    assert in_three_parts == []
 
 
-def test_an_error_after_a_child_is_reaped_propagates_unchanged(tmp_path, forked, monkeypatch):
+def test_an_error_after_a_child_is_reaped_propagates_unchanged(tmp_path, in_three_parts, monkeypatch):
     path = tmp_path / "corpus.jsonl"
     three_part_corpus(path)
 
@@ -497,10 +521,70 @@ def test_an_error_after_a_child_is_reaped_propagates_unchanged(tmp_path, forked,
 
     monkeypatch.setattr(corpus_module.pickle, "loads", interrupted)
     with pytest.raises(Interrupted):
-        load_in_parts(path, 3)
-    assert len(forked) == 2
+        load_in_parts(path)
+    assert len(in_three_parts) == 2
     with pytest.raises(ChildProcessError):  # every child is reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def part_count(path):
+    with open(path, "rb") as handle:
+        return corpus_module._parts(handle)
+
+
+@pytest.mark.parametrize(
+    "size,cpus,parts",
+    [(0, 4, 1), ((4 << 20) - 1, 4, 1), (8 << 20, 4, 2), ((12 << 20) + 1, 4, 3), (1 << 30, 4, 4), (1 << 30, 1, 1)],
+)
+def test_the_part_count_is_one_per_cpu_with_parts_of_at_least_the_floor(tmp_path, monkeypatch, size, cpus, parts):
+    path = tmp_path / "corpus.jsonl"
+    with open(path, "wb") as handle:
+        handle.truncate(size)  # sparse: no byte is written
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert part_count(path) == parts
+    # Where the affinity is not known, every CPU counts.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert part_count(path) == parts
+
+
+@pytest.fixture
+def four_cpus_no_floor(monkeypatch, tmp_path):
+    """A 1,000-byte file, which four CPUs and a floor of one byte would cut
+    into four parts; its path."""
+    monkeypatch.setattr(corpus_module, "_PART_FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n" * 1000)
+    assert part_count(path) == 4
+    return path
+
+
+def test_with_no_fork_there_is_one_part(four_cpus_no_floor, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert part_count(four_cpus_no_floor) == 1
+
+
+def test_with_a_live_thread_there_is_one_part(four_cpus_no_floor):
+    # Forking with another thread running can deadlock the child.
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        parts = part_count(four_cpus_no_floor)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert parts == 1
+
+
+def test_a_fifo_is_one_part(four_cpus_no_floor, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # Opened with no writer, which a blocking open would wait for.
+    with open(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK), "rb") as handle:
+        assert corpus_module._parts(handle) == 1
 
 
 # Records under a few shared ids, naming ent:a, ent:b, ent:é or a lone
@@ -571,10 +655,6 @@ def naming(doc_id, entity="ent:a"):
     return record(doc_id, "1990-02-11", [(entity, 1)]).encode("utf-8")
 
 
-# Query entities that no line names: with them, a query has more entities
-# than _load_naming finds by byte scans, so it tests each line instead.
-PADDING = frozenset(f"ent:p{i}" for i in range(corpus_module._FIND_ENTITIES))
-
 
 def filter_example(lines, entities=frozenset({"ent:a"}), start=0):
     return example(lines=lines, crlf=[False] * 10, final_newline=True, entities=entities, start=start)
@@ -597,7 +677,7 @@ def written(folder, raw):
 
 
 def assert_keeps_what_load_corpus_keeps(path, entities):
-    expected, accepted, _ = fields(*load_corpus(path, mentioning=entities))
+    expected, accepted, _ = fields(*load_corpus_naming(path, entities))
     kept, usable = _load_naming(path, entities)
     assert kept_fields(kept) == expected
     assert usable == (accepted > 0)
@@ -715,7 +795,7 @@ def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path,
     path.write_text("".join(line + "\n" for line in mostly_candidates(1020) + later))
     # More entities than byte scans find, so each line is tested until the switch.
     entities = PADDING | {"ent:a"}
-    expected = fields(*load_corpus(path, mentioning=entities))[0]
+    expected = fields(*load_corpus_naming(path, entities))[0]
     assert kept_fields(_load_naming(path, entities)[0]) == expected
     assert len(expected) == 765 + 400 and not {"a3", "s1"} & {doc_id for doc_id, _, _ in expected}
     # Only lines 1 to 1023 with no backslash are tested: the prefix's 255
@@ -729,7 +809,7 @@ def test_a_start_with_a_third_candidates_is_tested_throughout(tmp_path, counted)
         record(f"d{i}", "1990-02-11", [("ent:a" if i % 3 == 0 else "ent:b", 1)]) + "\n" for i in range(3000)
     ))
     entities = PADDING | {"ent:a"}
-    assert kept_fields(_load_naming(path, entities)[0]) == fields(*load_corpus(path, mentioning=entities))[0]
+    assert kept_fields(_load_naming(path, entities)[0]) == fields(*load_corpus_naming(path, entities))[0]
     # every line but line 0, which is read untested
     assert counted["_ENTITY_VALUE_RE"].calls == 2999
 
@@ -743,7 +823,7 @@ def test_a_few_entities_are_found_by_byte_scans_and_gaps_scanned_whole(tmp_path,
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     entities = frozenset({"topic:alpha", "topic:beta"})
-    expected = fields(*load_corpus(path, mentioning=entities))[0]
+    expected = fields(*load_corpus_naming(path, entities))[0]
     assert [doc_id for doc_id, _, _ in expected] == ["d5", "d12"]
     assert kept_fields(_load_naming(path, entities)[0]) == expected
     assert counted["_ENTITY_VALUE_RE"].calls == 0
@@ -816,7 +896,7 @@ def test_an_accepted_line_that_takes_a_kept_id_first_drops_that_document_at_scal
     found, usable = _load_naming(path, TOPIC_PAIR)
     assert len(decoded) == 2 and decoded[1] == decoded[0] + 1
     expected = [doc for doc in kept_fields(kept) if doc[0] != doc_id]
-    assert usable and kept_fields(found) == expected == fields(*load_corpus(path, mentioning=TOPIC_PAIR))[0]
+    assert usable and kept_fields(found) == expected == fields(*load_corpus_naming(path, TOPIC_PAIR))[0]
 
 
 def sha256(text: str) -> str:
@@ -877,9 +957,11 @@ def test_ingest_of_the_query_entities_ranks_like_the_whole_corpus(seed, extra, t
     lines = corpus_lines(corpus)
     for position, line in extra:
         lines.insert(position, line)
-    full, full_report = parse_corpus(lines)
-    kept, report = parse_corpus(lines, mentioning=q_all.entities)
-    assert report == full_report
+    with tempfile.TemporaryDirectory() as folder:
+        path = written(folder, "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass"))
+        full, full_report = load_corpus(path)
+        kept, usable = _load_naming(path, q_all.entities)
+    assert usable == (full_report.accepted > 0)
     assert kept.documents == [d for d in full.documents if not q_all.entities.isdisjoint(d.mentions)]
     full_index, kept_index = build_index(full), build_index(kept)
     for granularity in Granularity:
@@ -1035,17 +1117,17 @@ def test_an_error_from_the_source_propagates_and_restores_the_collector(enabled,
 
 
 def test_equal_entity_ids_share_one_string():
-    kept = [
+    a_lines = [
         record("a1", "1990-02-11", [("ent:x", 1), ("ent:y", 2)]),
         record("a2", "1990-02-12", [("ent:y", 1), ("ent:x", 3)]),
         record("a3", "1990-02-13", [("ent:z", 1), ("ent:y", 1)]),
     ]
-    # Each followed by a line that mentioning drops.
-    lines = [line for i, a in enumerate(kept) for line in (a, record(f"b{i}", "1990-02-14", [("ent:v", 1), ("ent:w", 2)]))]
-    corpus, _ = parse_corpus(lines, mentioning=frozenset({"ent:x", "ent:y", "ent:z"}))
-    assert [d.id for d in corpus.documents] == ["a1", "a2", "a3"]
+    # Each followed by a line that names two other entities.
+    lines = [line for i, a in enumerate(a_lines) for line in (a, record(f"b{i}", "1990-02-14", [("ent:v", 1), ("ent:w", 2)]))]
+    corpus, _ = parse_corpus(lines)
+    assert [d.id for d in corpus.documents] == ["a1", "b0", "a2", "b1", "a3", "b2"]
     shared = {id(e) for d in corpus.documents for e in d.mentions}
-    assert len(shared) == len(corpus.entity_universe) == 3
+    assert len(shared) == len(corpus.entity_universe) == 5
     index = build_index(corpus)
     assert {id(e) for e in index.docs_by_entity} == shared
 
