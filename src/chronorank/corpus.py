@@ -17,16 +17,18 @@ tallies only to tell an empty answer from a file with no usable line, so it
 reads in full only the lines that can change which are kept (_load_naming).
 A line with no backslash spells each JSON string as its UTF-8 bytes, so
 unless it shows a query entity as an "entity" value it is not a kept
-document. Such a value is the entity's bytes between two quotes, so a line
-that holds none of the quoted query entities ('"' + entity + '"') is not one
-either: that test ignores the key, so it may pass extra lines, but it never
-drops one that matters. A line that is not read can still take a kept
-document's id first, so the lines that show such an id as an "id" value
-before that document are read in full too. The documents kept are those of
-load_corpus that name a query entity, in the same order. If it keeps none
-and no line it read is accepted, it reads on from the start of the file up
-to the first accepted record, if there is one. A stream that cannot seek,
-such as a pipe, is read once, in full.
+document. One scanner finds the other lines, block by block (_found): for a
+few query entities, the lines that hold one between two quotes, a test that
+ignores the key, so it may pass extra lines, but never drops one that
+matters; for more, the lines whose "entity" values name one. Once these
+lines hold more than half of the bytes seen, the scan stops and every later
+line is read. A line that is not read can still take a kept document's id
+first, so the lines that show such an id as an "id" value before that
+document are read in full too. The documents kept are those of load_corpus
+that name a query entity, in the same order. If it keeps none and no line it
+read is accepted, it reads on from the start of the file up to the first
+accepted record, if there is one. A stream that cannot seek, such as a pipe,
+is read once, in full.
 
 For the tallies alone, as the CLI's validate needs them, load_in_parts
 reads a file in byte-range parts, one per CPU and each of at least
@@ -42,6 +44,7 @@ A file too small for two parts, or a stream, is read whole in this process.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import pickle
@@ -351,13 +354,8 @@ _Part = tuple[set[str], IngestReport]
 
 def _span_lines(handle: IO[bytes], start: int, end: int) -> Iterator[bytes]:
     """The lines of handle from byte start, a line start, up to byte end."""
-    handle.seek(start)
-    if start < end:
-        for line in handle:
-            yield line
-            start += len(line)
-            if start >= end:
-                return
+    for _, block in _blocks(handle, start, end):
+        yield from io.BytesIO(block)
 
 
 def _ingest_span(handle: IO[bytes], start: int, end: int) -> _Part:
@@ -518,10 +516,14 @@ _ID_VALUE_RE = re.compile(rb'"id"[ \t\r]*:[ \t\r]*"([^"\n]*)"')
 _BLOCK = 1 << 18
 # Up to this many query entities, candidate lines are found with one
 # bytes.find scan of each block per entity and one for backslashes; with
-# more, a regex test of each line costs less. On 22 MB of bench corpus each
-# scan took about 0.023 s, so 6 entities 0.149 s and 8 entities 0.205 s,
-# and the test of every line 0.16 s whatever the number.
-_FIND_ENTITIES = 6
+# more, one regex scan of each block for its "entity" values costs less. On
+# 22 MB of bench corpus (seeds 1 and 5, best of 5) each entity's scan took
+# about 0.022 s, so 7 entities 0.15-0.17 s and 8 entities 0.17-0.19 s, and
+# the regex scan 0.165-0.20 s whatever the number.
+_FIND_ENTITIES = 7
+# A candidate scan does not stop before it has seen this many bytes, so that
+# a file whose first lines happen to be candidates is still scanned.
+_STOP_FLOOR = 1 << 16
 
 
 def _blocks(handle: IO[bytes], start: int = 0, end: int | None = None) -> Iterator[tuple[int, bytes]]:
@@ -546,40 +548,36 @@ def _line_end(block: bytes, start: int) -> int:
     return len(block) if end < 0 else end + 1
 
 
-def _found(handle: IO[bytes], needles: list[bytes]) -> Iterator[tuple[int, int, bytes]]:
+def _found(handle: IO[bytes], wanted: frozenset[bytes]) -> Iterator[tuple[int, int, bytes]]:
     """The start, end and bytes of line 0 and each line of handle that holds
-    one of needles, in file order."""
+    a backslash or shows one of wanted, in file order. For up to
+    _FIND_ENTITIES of them, a line shows one if it holds it between quotes
+    anywhere; for more, if it holds it as an "entity" value. Past
+    _STOP_FLOOR bytes seen, once more than half of them are in these lines,
+    the scan saves less than it costs: it stops at the start of the next
+    block, with handle there."""
+    needles = [b"\\"]
+    if len(wanted) <= _FIND_ENTITIES:
+        needles += [b'"' + entity + b'"' for entity in wanted]
+    seen = read = 0
     for offset, block in _blocks(handle):
+        if seen > _STOP_FLOOR and 2 * read > seen:
+            handle.seek(offset)
+            return
         starts = {0} if offset == 0 else set()
         for needle in needles:
             at = block.find(needle)
             while at >= 0:
                 starts.add(block.rfind(b"\n", 0, at) + 1)
                 at = block.find(needle, _line_end(block, at))
+        if len(wanted) > _FIND_ENTITIES:
+            ats = [match.start() for match in _ENTITY_VALUE_RE.finditer(block) if match[1] in wanted]
+            starts.update(block.rfind(b"\n", 0, at) + 1 for at in ats)
+        seen += len(block)
         for start in sorted(starts):
             end = _line_end(block, start)
+            read += end - start
             yield offset + start, offset + end, block[start:end]
-
-
-def _tested(handle: IO[bytes], wanted: frozenset[bytes]) -> Iterator[tuple[int, int, bytes]]:
-    """The start, end and bytes of line 0 and each line of handle that holds
-    a backslash or an "entity" value in wanted. Once more than half of the
-    lines seen are among them (checked every 1024 lines), the test saves less
-    than it costs: it stops there, with handle at the next line.
-
-    It reads the file line by line, not in blocks: it tests every line, and
-    on the bench corpus a 20-entity query took 6% longer with its lines cut
-    from blocks."""
-    read = start = 0
-    handle.seek(0)
-    for number, line in enumerate(handle):
-        end = start + len(line)
-        if number == 0 or b"\\" in line or not wanted.isdisjoint(_ENTITY_VALUE_RE.findall(line)):
-            read += 1
-            yield start, end, line
-        if number % 1024 == 1023 and 2 * read > number:
-            return
-        start = end
 
 
 def _shadowing(handle: IO[bytes], gaps: list[int], kept_at: dict[bytes, int]) -> Iterator[tuple[int, int]]:
@@ -621,14 +619,14 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
     a BOM is stripped from it alone, or a line that holds a backslash, or
     one that shows a query entity: no other line can be a kept document,
     since with no backslash a kept record spells its entity as the UTF-8
-    bytes of a quoted "entity" value. For up to _FIND_ENTITIES entities, a
-    line is a candidate if it holds '"' + entity + '"' anywhere, found by
-    bytes.find scans of blocks of the file cut just after a line break: a
+    bytes of a quoted "entity" value. _found scans blocks of the file cut
+    just after a line break. For up to _FIND_ENTITIES entities, a line is a
+    candidate if it holds '"' + entity + '"' anywhere, found by bytes.find: a
     superset of the lines with such an "entity" value, so it may read extra
-    lines but drops none that matters. For more, the "entity" values of each
-    line are tested against the set; once more than half of the lines seen
-    are candidates (checked every 1024 lines), the test saves less than it
-    costs, and every later line is read.
+    lines but drops none that matters. For more, one regex scan of each
+    block finds the "entity" values in the set. Once the candidates hold
+    more than half of the bytes seen, past _STOP_FLOOR of them, the scan
+    saves less than it costs, and every line from the next block on is read.
 
     Any other line can change the answer only by being accepted with the id
     of a later kept document, which it then shadows: so a second pass looks,
@@ -642,13 +640,13 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
     documents: list[Document] = []
 
     # Each kept document is appended before the next line is drawn, as
-    # candidates() below needs.
-    def keep(lines: Iterable[bytes]) -> IngestReport:
+    # candidates() below needs. True if a line is accepted.
+    def keep(lines: Iterable[bytes]) -> bool:
         report = IngestReport()
         for doc_id, day, mentions in _accepted(lines, report, set()):
             if not entities.isdisjoint(mentions):
                 documents.append(_document(doc_id, day, mentions))
-        return report
+        return report.accepted > 0
 
     # The lines read, as runs of adjacent lines in file order: each run's
     # start, then its end. A flat list of ints is one object to the garbage
@@ -661,11 +659,8 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
     kept_at: dict[bytes, int] = {}
     with open(path, "rb") as handle:
         if not handle.seekable():  # a pipe, say: no line can be read twice
-            return Corpus(documents=documents), keep(handle).accepted > 0
-        if len(wanted) <= _FIND_ENTITIES:
-            found = _found(handle, [b"\\", *(b'"' + entity + b'"' for entity in wanted)])
-        else:
-            found = _tested(handle, wanted)
+            return Corpus(documents=documents), keep(handle)
+        found = _found(handle, wanted)
 
         def candidates() -> Iterator[bytes]:
             for start, end, line in found:
@@ -678,16 +673,16 @@ def _load_naming(path: str | Path, entities: frozenset[EntityId]) -> tuple[Corpu
                 # Resumed only once the record on this line, if any, is ingested.
                 if len(documents) > kept:
                     kept_at[documents[-1].id.encode("utf-8")] = start
-            # Where _tested stopped, every later line is read untested; _found
-            # stops at the end of the file. A line not read comes before a
-            # document kept there exactly when it comes before where they start.
+            # Where _found stopped, if before the end of the file, every later
+            # line is read untested. A line not read comes before a document
+            # kept there exactly when it comes before where they start.
             start, kept = handle.tell(), len(documents)
             yield from handle
             if handle.tell() > start:
                 read.extend((start, handle.tell()))
                 kept_at.update((document.id.encode("utf-8"), start) for document in documents[kept:])
 
-        usable = keep(candidates()).accepted > 0
+        usable = keep(candidates())
         if not documents:
             if not usable:
                 # No line is decoded after the first accepted record.

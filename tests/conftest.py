@@ -14,6 +14,9 @@ from chronorank import corpus as corpus_module
 # already loaded, so CI keeps its derandomized "ci" profile.
 settings.register_profile("chronorank", settings(), deadline=None)
 settings.load_profile("chronorank")
+# 20 times the examples, for a scheduled run (pytest --hypothesis-profile=deep).
+# A property that sets its own count scales it through helpers.examples.
+settings.register_profile("deep", settings.get_profile("chronorank"), max_examples=2000)
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
+from hypothesis import settings
+
 import chronorank
 from chronorank import (
     Granularity,
@@ -364,3 +366,10 @@ def random_case(
         for semantics in (Semantics.ALL, Semantics.ANY)
     )
     return corpus, queries[0], queries[1]
+
+
+def examples(count: int) -> int:
+    """A property's own example count, scaled as the loaded hypothesis
+    profile scales hypothesis's default of 100: unchanged per push, 20
+    times under the deep profile (conftest.py)."""
+    return count * settings.default.max_examples // 100

@@ -9,9 +9,11 @@ import importlib.util
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 from datetime import date
 from pathlib import Path
@@ -37,7 +39,7 @@ from chronorank.corpus import (
     load_in_parts,
 )
 
-from helpers import load_corpus_naming, make_doc, random_case, reference_parse_corpus
+from helpers import examples, load_corpus_naming, make_doc, random_case, reference_parse_corpus
 
 
 def record(doc_id, day, mentions):
@@ -49,9 +51,11 @@ GOOD_1 = record("a1", "1990-02-11", [("ent:x", 2)])
 GOOD_2 = record("a2", "1990-02-12", [("ent:x", 1), ("ent:y", 3)])
 
 # Query entities that no line names: with them, a query has more entities
-# than _load_naming finds by byte scans, so it tests each line instead.
+# than _found finds by byte scans, so it scans each block's "entity" values
+# instead.
 PADDING = frozenset(f"ent:p{i}" for i in range(corpus_module._FIND_ENTITIES))
-# A query of ent:x as each branch of _load_naming reads it.
+# A query of ent:x as each branch of _found reads it; "per-line" is the
+# branch that matches "entity" values.
 X_BY_BRANCH = {"byte-scan": frozenset({"ent:x"}), "per-line": PADDING | {"ent:x"}}
 
 
@@ -331,7 +335,7 @@ pool_records = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(lines=st.lists(pool_records.map(json.dumps) | near_records.map(json.dumps) | scanner_edges, max_size=6))
 @example(lines=EDGE_LINES)
 def test_ingest_matches_the_reference_parser(lines):
@@ -368,7 +372,7 @@ def ingest_between(path, cuts):
         return _merge([_ingest_span(handle, start, end) for start, end in zip(bounds, bounds[1:])])
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(
     lines=st.lists(
         pool_records.map(json.dumps)
@@ -661,7 +665,7 @@ def filter_example(lines, entities=frozenset({"ent:a"}), start=0):
 
 
 # The query entities a filter test draws: up to two, found by byte scans, or
-# the same with PADDING, tested line by line.
+# the same with PADDING, found by their "entity" values.
 filter_entities = st.builds(
     lambda names, padded: frozenset(names.split()) | (PADDING if padded else frozenset()),
     st.sampled_from(["ent:a", "ent:a", "ent:b", "ent:a ent:b", "ent:\u00e9", "ent:\ud800", "ent:zz"]),
@@ -683,12 +687,28 @@ def assert_keeps_what_load_corpus_keeps(path, entities):
     assert usable == (accepted > 0)
 
 
-@settings(max_examples=300)
+@contextmanager
+def scan_stops():
+    """Patch _found to record where each of its scans stops, if it stops
+    before the end of the file."""
+    stops = []
+    found = corpus_module._found
+
+    def recorded(handle, wanted):
+        yield from found(handle, wanted)
+        if handle.tell() < os.fstat(handle.fileno()).st_size:
+            stops.append(handle.tell())
+
+    with mock.patch.object(corpus_module, "_found", recorded):
+        yield stops
+
+
+@settings(max_examples=examples(300))
 # After line 0, which is always read: a1 taken by the line just before its
 # line that names ent:a, spelt plainly or with an escape. A BOM on the first
-# line read after line 0. a1 taken at line 1023, the last line tested, with
-# a document kept after it: with one entity, found by byte scans, and with
-# PADDING, tested line by line up to there.
+# line read after line 0. a1 taken at line 1023, the last line scanned before
+# the scan stops, with a document kept on each side of the stop: with one
+# entity, found by byte scans, and with PADDING, by "entity" values.
 @filter_example([b"{}", naming("a1", "ent:c"), naming("a1")])
 @filter_example([b"{}", naming("a1", "ent:c"), naming("a1").replace(b'"a1"', b'"\\u00611"')])
 @filter_example([naming("a2", "ent:c"), BOM + naming("a1")])
@@ -701,7 +721,6 @@ def assert_keeps_what_load_corpus_keeps(path, entities):
     crlf=st.lists(st.booleans(), min_size=10, max_size=10),
     final_newline=st.booleans(),
     entities=filter_entities,
-    # With 1020 lines before them, the test stops at the fourth drawn line.
     start=st.sampled_from([0, 0, 0, 1020]),
 )
 def test_reading_the_candidate_lines_keeps_what_load_corpus_keeps(lines, crlf, final_newline, entities, start):
@@ -710,38 +729,65 @@ def test_reading_the_candidate_lines_keeps_what_load_corpus_keeps(lines, crlf, f
         endings[-1] = b""
     raw = [line.encode("utf-8") + b"\n" for line in mostly_candidates(start)]
     raw += [line + ending for line, ending in zip(lines, endings)]
-    with tempfile.TemporaryDirectory() as folder:
+    # A file this small is one block at the default size, and one block never
+    # stops the scan. Past 1020 lines of mostly candidates, the first block
+    # ends after the fourth drawn line, or all but the last one, and the scan
+    # stops where the second begins.
+    block = sum(map(len, raw[: start + min(4, len(lines) - 1)])) if start else corpus_module._BLOCK
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(corpus_module, "_BLOCK", block), \
+            scan_stops() as stops:
         assert_keeps_what_load_corpus_keeps(written(folder, b"".join(raw)), entities)
+    assert stops == ([block] if start else [])
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 # A gap of two blocks whose second line takes a1 first. An "id" value left
 # open, which the scan of a gap must not run on into the next line, where a1
 # is taken first. Lines longer than a block, blocks cut between \r and \n,
-# and a BOM on a later line, which only line 0 loses.
+# and a BOM on a later line, which only line 0 loses. a1 taken first after
+# 1020 lines of mostly candidates, in which the scan stops with a document
+# kept on each side: by byte scans and by "entity" values.
 @example(
     lines=[b"{}\n", naming("a3", "ent:c") + b"\n", naming("a1", "ent:c") + b"\n", naming("a1") + b"\n"],
     final_newline=True,
     entities=frozenset({"ent:a"}),
     block=1,
+    start=0,
 )
 @example(
     lines=[b"{}\n", b'{"id": "x\n', naming("a1", "ent:c") + b"\n", naming("a1") + b"\n"],
     final_newline=True,
     entities=frozenset({"ent:a"}),
     block=64,
+    start=0,
 )
 @example(
     lines=[naming("a1", "ent:c") + b"\r\n", BOM + naming("a1") + b"\n", naming("a2")],
     final_newline=False,
     entities=frozenset({"ent:a"}),
     block=7,
+    start=0,
 )
 @example(
     lines=[BOM + naming("a1") + b"\r\n", BOM + naming("a2") + b"\r\n"],
     final_newline=True,
     entities=PADDING | {"ent:a"},
     block=1,
+    start=0,
+)
+@example(
+    lines=[naming("a1", "ent:c") + b"\r\n", naming("a1") + b"\n", naming("a2") + b"\n"],
+    final_newline=True,
+    entities=frozenset({"ent:a"}),
+    block=64,
+    start=1020,
+)
+@example(
+    lines=[naming("a1", "ent:c") + b"\r\n", naming("a1") + b"\n", naming("a2") + b"\n"],
+    final_newline=True,
+    entities=PADDING | {"ent:a"},
+    block=1,
+    start=1020,
 )
 @given(
     lines=st.lists(
@@ -750,19 +796,23 @@ def test_reading_the_candidate_lines_keeps_what_load_corpus_keeps(lines, crlf, f
     final_newline=st.booleans(),
     entities=filter_entities,
     block=st.sampled_from([1, 7, 64]),
+    start=st.sampled_from([0, 0, 0, 1020]),
 )
-def test_candidate_lines_cut_across_blocks_keep_what_load_corpus_keeps(lines, final_newline, entities, block):
+def test_candidate_lines_cut_across_blocks_keep_what_load_corpus_keeps(lines, final_newline, entities, block, start):
     # Blocks this small cut inside a line, between \r and \n and inside a
-    # needle; most lines are longer than a block.
-    raw = b"".join(lines)
+    # needle; most lines are longer than a block. Past _STOP_FLOOR bytes of
+    # mostly candidates, the scan stops, before the drawn lines.
+    raw = b"".join([*(line.encode("utf-8") + b"\n" for line in mostly_candidates(start)), *lines])
     if not final_newline:
         raw = raw.rstrip(b"\r\n")
-    with tempfile.TemporaryDirectory() as folder, mock.patch.object(corpus_module, "_BLOCK", block):
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(corpus_module, "_BLOCK", block), \
+            scan_stops() as stops:
         assert_keeps_what_load_corpus_keeps(written(folder, raw), entities)
+    assert len(stops) == (start > 0)
 
 
-class CountingFindall:
-    """A compiled pattern whose findall calls are counted."""
+class CountingPattern:
+    """A compiled pattern whose findall and finditer calls are counted."""
 
     def __init__(self, pattern):
         self.pattern, self.calls = pattern, 0
@@ -771,47 +821,85 @@ class CountingFindall:
         self.calls += 1
         return self.pattern.findall(*args)
 
+    def finditer(self, *args):
+        self.calls += 1
+        return self.pattern.finditer(*args)
+
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The counted findall of _ENTITY_VALUE_RE and _ID_VALUE_RE, by name."""
-    patterns = {name: CountingFindall(getattr(corpus_module, name)) for name in ("_ENTITY_VALUE_RE", "_ID_VALUE_RE")}
+    """The counted _ENTITY_VALUE_RE and _ID_VALUE_RE, by name."""
+    patterns = {name: CountingPattern(getattr(corpus_module, name)) for name in ("_ENTITY_VALUE_RE", "_ID_VALUE_RE")}
     for name, pattern in patterns.items():
         monkeypatch.setattr(corpus_module, name, pattern)
     return patterns
 
 
-def test_past_a_start_of_mostly_candidates_every_line_is_read_untested(tmp_path, counted):
+def test_past_a_start_of_mostly_candidates_the_scan_stops_and_reads_the_rest(tmp_path, counted, monkeypatch):
     later = [
         record(f"r{i}", "1990-02-12", [("ent:a" if i % 5 == 0 else "ent:d", 1)]) for i in range(2000)
     ]
     # a3 is taken at line 3, which names no query entity, so these are duplicates
     later[1501] = record("a3", "1990-02-13", [("ent:a", 2)])
     later[1701] = record("a3", "1990-02-14", [("ent:a", 3)])
-    # and line 1023, the last line tested, takes s1
+    # and line 1023, past where the scan stops, takes s1
     later[3] = record("s1", "1990-02-13", [("ent:d", 1)])
     later[1801] = record("s1", "1990-02-14", [("ent:a", 1)])
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(line + "\n" for line in mostly_candidates(1020) + later))
-    # More entities than byte scans find, so each line is tested until the switch.
+    monkeypatch.setattr(corpus_module, "_BLOCK", 4096)
+    # More entities than byte scans find, so each block's "entity" values are
+    # matched until the scan stops.
     entities = PADDING | {"ent:a"}
     expected = fields(*load_corpus_naming(path, entities))[0]
-    assert kept_fields(_load_naming(path, entities)[0]) == expected
+    with scan_stops() as stops:
+        assert kept_fields(_load_naming(path, entities)[0]) == expected
     assert len(expected) == 765 + 400 and not {"a3", "s1"} & {doc_id for doc_id, _, _ in expected}
-    # Only lines 1 to 1023 with no backslash are tested: the prefix's 255
-    # that name ent:c and the first 4 of the later lines.
-    assert counted["_ENTITY_VALUE_RE"].calls == 255 + 4
+    # One finditer call for each of the first 16 blocks, 67,178 bytes, past
+    # the 65,536 of _STOP_FLOOR; the scan stops where the 17th begins, at
+    # line 490 of the 1,020 lines of mostly candidates.
+    assert corpus_module._STOP_FLOOR == 65536
+    assert counted["_ENTITY_VALUE_RE"].calls == 16
+    assert stops == [67178]
+    assert path.read_bytes()[:67178].count(b"\n") == 490
 
 
-def test_a_start_with_a_third_candidates_is_tested_throughout(tmp_path, counted):
+def test_a_start_with_a_third_candidates_is_scanned_to_the_end(tmp_path, counted, monkeypatch):
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(
         record(f"d{i}", "1990-02-11", [("ent:a" if i % 3 == 0 else "ent:b", 1)]) + "\n" for i in range(3000)
     ))
+    monkeypatch.setattr(corpus_module, "_BLOCK", 4096)
     entities = PADDING | {"ent:a"}
-    assert kept_fields(_load_naming(path, entities)[0]) == fields(*load_corpus_naming(path, entities))[0]
-    # every line but line 0, which is read untested
-    assert counted["_ENTITY_VALUE_RE"].calls == 2999
+    with scan_stops() as stops:
+        assert kept_fields(_load_naming(path, entities)[0]) == fields(*load_corpus_naming(path, entities))[0]
+    # The candidates hold about a third of the bytes, so the scan never
+    # stops: one finditer call for each of the file's 62 blocks.
+    assert stops == []
+    assert counted["_ENTITY_VALUE_RE"].calls == 62
+
+
+def test_a_few_entities_on_most_lines_stop_the_byte_scans(tmp_path, counted):
+    lines = [record(f"d{i}", "1990-02-11", [("ent:a" if i % 4 else "ent:b", 1)]) for i in range(4000)]
+    # Line 3, which the scan passes over, takes first the id of a line that
+    # names ent:a past where the scan stops; line 3999 repeats an id kept
+    # before.
+    lines[3] = record("d3501", "1990-02-11", [("ent:b", 1)])
+    lines[3999] = record("d1", "1990-02-12", [("ent:a", 2)])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    raw = path.read_bytes()
+    assert len(raw) > corpus_module._BLOCK
+    entities = frozenset({"ent:a"})
+    expected = fields(*load_corpus_naming(path, entities))[0]
+    with scan_stops() as stops:
+        assert kept_fields(_load_naming(path, entities)[0]) == expected
+    kept_ids = [doc_id for doc_id, _, _ in expected]
+    assert "d3501" not in kept_ids and kept_ids.count("d1") == 1
+    # Byte scans only; the candidates hold three quarters of the first
+    # block, so the scan stops where the second begins.
+    assert counted["_ENTITY_VALUE_RE"].calls == 0
+    assert stops == [raw.index(b"\n", corpus_module._BLOCK - 1) + 1]
 
 
 def test_a_few_entities_are_found_by_byte_scans_and_gaps_scanned_whole(tmp_path, counted):
@@ -865,8 +953,8 @@ def seed1(seed1_path):
     return lines, kept, doc_id, at
 
 
-def ranked(corpus):
-    query = Query(entities=TOPIC_PAIR, semantics=Semantics.ALL, start=date(1988, 1, 1), end=date(1990, 12, 31),
+def ranked(corpus, entities=TOPIC_PAIR, semantics=Semantics.ALL):
+    query = Query(entities=entities, semantics=semantics, start=date(1988, 1, 1), end=date(1990, 12, 31),
                   granularity=Granularity.MONTH)
     return rank(build_index(corpus), query)
 
@@ -897,6 +985,55 @@ def test_an_accepted_line_that_takes_a_kept_id_first_drops_that_document_at_scal
     assert len(decoded) == 2 and decoded[1] == decoded[0] + 1
     expected = [doc for doc in kept_fields(kept) if doc[0] != doc_id]
     assert usable and kept_fields(found) == expected == fields(*load_corpus_naming(path, TOPIC_PAIR))[0]
+
+
+# Mid-frequency entities, one more than byte scans find.
+MID_MANY = frozenset(f"e{1000 + i:04d}" for i in range(corpus_module._FIND_ENTITIES + 1))
+# The entities and semantics of the queries ranked over seed-1 variants.
+SEED1_QUERIES = [(TOPIC_PAIR, Semantics.ALL), (MID_MANY, Semantics.ANY)]
+
+
+@pytest.fixture(scope="module")
+def seed1_naming(seed1_path):
+    """load_corpus of the seed-1 corpus, cut to each of SEED1_QUERIES'
+    entity sets."""
+    corpus = load_corpus(seed1_path)[0]
+    return {
+        entities: Corpus(documents=[d for d in corpus.documents if not entities.isdisjoint(d.mentions)])
+        for entities, _ in SEED1_QUERIES
+    }
+
+
+def escaped_ids_and_entities(raw):
+    """raw with the first character of each "id" and "entity" value spelt as
+    a \\u00XX escape, so that every line of a bench corpus holds a backslash."""
+    for key, first in set(re.findall(rb'"(id|entity)": "([ !#-\[\]-~])', raw)):
+        raw = raw.replace(b'"%s": "%s' % (key, first), b'"%s": "\\u%04x' % (key, first[0]))
+    return raw
+
+
+def crlf_with_a_bom(raw):
+    """raw with CRLF line endings and a BOM opening line 0."""
+    return BOM + raw.replace(b"\n", b"\r\n")
+
+
+@pytest.mark.parametrize(
+    "respell, escaped", [(escaped_ids_and_entities, True), (crlf_with_a_bom, False)], ids=["escaped", "crlf-bom"]
+)
+def test_a_respelt_seed1_corpus_keeps_the_same_documents_and_rows(seed1_path, seed1_naming, tmp_path, respell, escaped):
+    raw = respell(seed1_path.read_bytes())
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(raw)
+    # With a backslash on every line, every line is a candidate, so the scan
+    # stops, on both branches, where its second block begins.
+    assert all(b"\\" in line for line in raw.splitlines()) == escaped
+    for entities, semantics in SEED1_QUERIES:
+        with scan_stops() as stops:
+            found, usable = _load_naming(path, entities)
+        expected = seed1_naming[entities]
+        assert usable and kept_fields(found) == kept_fields(expected)
+        assert ranked(found, entities, semantics) == ranked(expected, entities, semantics)
+        assert stops == ([raw.index(b"\n", corpus_module._BLOCK - 1) + 1] if escaped else [])
 
 
 def sha256(text: str) -> str:

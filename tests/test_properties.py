@@ -31,6 +31,7 @@ from helpers import (
     check_row_bounds,
     check_semantics_share_relativeness,
     check_tie_clones,
+    examples,
     rank_both,
 )
 
@@ -296,7 +297,7 @@ def wide_cases(draw) -> tuple[Corpus, Query]:
     return Corpus(documents=docs), query
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(case=wide_cases())
 def test_wide_queries_agree_with_brute_force(case):
     corpus, query = case
@@ -320,7 +321,7 @@ def test_matching_ignores_mention_counts(corpus, query, bump):
     assert match_documents(bumped_index, query).matched == before
 
 
-@settings(max_examples=120)
+@settings(max_examples=examples(120))
 @given(corpus=corpora(), query=queries(), top_k=st.sampled_from([None, 1, 3]))
 @example(
     corpus=PER_PERIOD_ROUNDING,
